@@ -34,7 +34,13 @@ from typing import Callable
 from .errors import InputError, NoWitnessError
 from .operators import Pairing
 from .properties import _first_failure, property_row, tables_for
-from .relations import BinaryRelation, RelationFlags, Subset, classify
+from .relations import (
+    BinaryRelation,
+    RelationFlags,
+    Subset,
+    check_input_size,
+    classify,
+)
 
 
 class Characterization(Enum):
@@ -125,6 +131,7 @@ def check_biconditional(
     """Evaluate both sides of one biconditional independently."""
     pairing, conjuncts = _BINDINGS[c]
     n = relation.universe.size
+    check_input_size(n)
     lo, up = tables_for(pairing, n, relation.rows)
     full = relation.universe.full_mask
     property_holds = all(

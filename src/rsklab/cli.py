@@ -16,7 +16,7 @@ from pathlib import Path
 from . import io as rio
 from .characterizations import Characterization, check_biconditional
 from .coverings import induced_relation, verify_reduction
-from .errors import RskError
+from .errors import InputError, RskError
 from .logic import deductive_closure, is_theory, largest_theory_within
 from .operators import Pairing, lower, upper
 from .properties import check_relation, search_class
@@ -31,8 +31,11 @@ def _dump(obj: dict) -> str:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(output).write_text(text)
+    except OSError as exc:
+        raise InputError(f"{output}: {exc.strerror or exc}") from None
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:

@@ -22,7 +22,13 @@ from typing import Any
 from .coverings import Covering
 from .errors import InputError
 from .logic import ImplicationFrame
-from .relations import BinaryRelation, Subset, Universe, build_relation
+from .relations import (
+    BinaryRelation,
+    Subset,
+    Universe,
+    build_relation,
+    check_input_size,
+)
 
 
 def _load_json(path: str | Path) -> Any:
@@ -53,12 +59,14 @@ def parse_universe(value: Any, context: str) -> Universe:
     if isinstance(value, list):
         if not all(isinstance(name, str) for name in value):
             raise InputError(f"{context}: universe labels must be strings")
+        check_input_size(len(value))
         return Universe(len(value), tuple(value))
     if isinstance(value, dict):
         _require_object(value, context, {"size"})
         size = value.get("size")
         if not isinstance(size, int) or isinstance(size, bool) or size < 0:
             raise InputError(f"{context}: size must be a nonnegative integer")
+        check_input_size(size)
         return Universe(size)
     raise InputError(f"{context}: universe must be a list of labels or {{\"size\": n}}")
 

@@ -24,6 +24,11 @@ from .errors import CapacityError, InputError
 
 DEFAULT_CAPACITY_BOUND = 4
 _CAPACITY_ENV = "RSK_MAX_N"
+# Largest universe of one input file or one checked relation. Per-relation
+# checks tabulate the operators on all 2^n subsets; at n=16 that is well
+# under a second and a few MB, and it stays independent of RSK_MAX_N, which
+# bounds enumeration over all relations of a size.
+MAX_INPUT_SIZE = 16
 
 
 def capacity_bound() -> int:
@@ -46,6 +51,13 @@ def check_capacity(n: int, bound: int | None) -> None:
         raise CapacityError(
             f"universe size {n} exceeds the capacity bound {limit}"
             f" (raise {_CAPACITY_ENV} or pass an explicit bound)"
+        )
+
+
+def check_input_size(n: int) -> None:
+    if n > MAX_INPUT_SIZE:
+        raise CapacityError(
+            f"universe size {n} exceeds the per-input limit {MAX_INPUT_SIZE}"
         )
 
 

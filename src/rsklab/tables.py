@@ -144,6 +144,8 @@ def generate_table(
         raise InputError("tables are generated for the dual and nondual pairings")
     if max_n < 0:
         raise InputError(f"max_n must be nonnegative, got {max_n}")
+    if workers < 1:
+        raise InputError(f"workers must be at least 1, got {workers}")
     check_capacity(max_n, bound)
     jobs = [(pairing.value, cls.value, max_n) for cls in TABLE_CLASSES]
     if workers > 1:

@@ -4,6 +4,7 @@ import pytest
 
 from rsklab import (
     BinaryRelation,
+    CapacityError,
     Characterization,
     InputError,
     NoWitnessError,
@@ -19,6 +20,7 @@ from rsklab.characterizations import (
     characterization_pairing,
     characterization_rows,
 )
+from rsklab.relations import MAX_INPUT_SIZE
 
 U2 = Universe(2)
 U3 = Universe(3)
@@ -89,6 +91,11 @@ class TestWorkedExamples:
         assert Characterization.from_tag("preorder") is Characterization.PREORDER
         with pytest.raises(InputError):
             Characterization.from_tag("antisymmetric")
+
+    def test_oversized_relation_rejected(self):
+        big = build_relation(Universe(MAX_INPUT_SIZE + 1), [])
+        with pytest.raises(CapacityError):
+            check_biconditional(Characterization.PREORDER, big)
 
 
 class TestProofWitness:

@@ -131,6 +131,24 @@ class TestTable:
         code, _, err = run(capsys, ["table", "--pairing", "dual", "--max-n", "9"])
         assert code == 2 and "capacity" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_fewer_than_one_worker_is_exit_two(self, capsys, workers):
+        code, out, err = run(
+            capsys, ["table", "--pairing", "dual", "--max-n", "1", "--workers", workers]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_unwritable_output_is_exit_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(
+            capsys,
+            ["table", "--pairing", "dual", "--max-n", "1", "--output", str(target)],
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(target) in err
+
 
 class TestCheck:
     def test_failing_row_exits_one_with_witness(self, capsys, chain_file):
@@ -254,3 +272,19 @@ class TestErrorPaths:
         bad.write_text("{")
         code, _, err = run(capsys, ["classify", "--relation", str(bad)])
         assert code == 2 and "line 1" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify"],
+            ["check", "--row", "10", "--pairing", "dual"],
+            ["characterize", "--id", "preorder"],
+        ],
+    )
+    def test_oversized_universe_is_exit_two(self, capsys, tmp_path, argv):
+        huge = write(
+            tmp_path, "huge.json", {"universe": {"size": 10**9}, "pairs": [[0, 0]]}
+        )
+        code, out, err = run(capsys, [*argv, "--relation", huge])
+        assert code == 2 and out == ""
+        assert "per-input limit" in err and err.count("\n") == 1

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from rsklab import InputError, Universe
+from rsklab import CapacityError, InputError, Universe
 from rsklab.io import load_covering, load_frame, load_relation, load_subset
+from rsklab.relations import MAX_INPUT_SIZE
 
 
 def write(tmp_path, name, obj):
@@ -116,3 +117,25 @@ class TestFrameFiles:
         path = write(tmp_path, "f.json", {"propositions": ["p"], "40": 2, "implies": []})
         with pytest.raises(InputError, match="unknown key"):
             load_frame(path)
+
+
+class TestSizeCeiling:
+    @pytest.mark.parametrize(
+        "loader, obj",
+        [
+            (load_relation, {"universe": {"size": 10**9}, "pairs": []}),
+            (load_relation, {"universe": [str(i) for i in range(17)], "pairs": []}),
+            (load_covering, {"universe": {"size": 10**9}, "blocks": []}),
+            (load_frame, {"propositions": {"size": 10**9}, "implies": []}),
+        ],
+    )
+    def test_oversized_universe_rejected_before_building(self, tmp_path, loader, obj):
+        path = write(tmp_path, "big.json", obj)
+        with pytest.raises(CapacityError, match="per-input limit"):
+            loader(path)
+
+    def test_limit_itself_is_admitted(self, tmp_path):
+        path = write(
+            tmp_path, "r.json", {"universe": {"size": MAX_INPUT_SIZE}, "pairs": []}
+        )
+        assert load_relation(path).universe.size == MAX_INPUT_SIZE

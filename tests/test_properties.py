@@ -2,6 +2,8 @@
 and the class-wide counterexample search."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rsklab import (
     BinaryRelation,
@@ -17,7 +19,8 @@ from rsklab import (
     property_row,
     search_class,
 )
-from rsklab.properties import PROPERTY_ROWS
+from rsklab.properties import PROPERTY_ROWS, _first_failure, tables_for
+from rsklab.relations import rows_from_encoding
 
 U3 = Universe(3)
 CHAIN = build_relation(U3, [(0, 1), (1, 2)])
@@ -98,6 +101,17 @@ class TestCheckRelation:
                     r = BinaryRelation.from_encoding(u, encoding)
                     assert check_relation(11, pairing, r).holds
 
+    def test_oversized_relation_rejected(self):
+        from rsklab import CapacityError
+        from rsklab.relations import MAX_INPUT_SIZE
+
+        u = Universe(MAX_INPUT_SIZE + 1)
+        r = build_relation(u, [])
+        with pytest.raises(CapacityError):
+            check_relation(10, Pairing.DUAL_SUCC, r)
+        with pytest.raises(CapacityError):
+            eval_property(6, Pairing.DUAL_SUCC, r, Subset.empty(u))
+
     def test_failing_two_set_row_reports_both_sets(self):
         u = Universe(2)
         # row 10 under the mirror pairing still holds for every relation;
@@ -171,3 +185,80 @@ class TestSearchClass:
             assert verdict.refuted
             cex = verdict.counterexample
             assert not eval_property(row, Pairing.NONDUAL, cex.relation, cex.x, cex.y)
+
+
+def _scan_two_set(row, lo, up, full):
+    """Reference: the plain 4^n lexicographic scan with no certificate."""
+    for x in range(full + 1):
+        for y in range(full + 1):
+            if not row.evaluate(lo, up, full, x, y):
+                return x, y
+    return None
+
+
+class TestTwoSetCertificates:
+    """Rows 8-13 are decided by an O(2^n) certificate; the 4^n scan runs only
+    when it fails, and must still return the minimal (X, Y)."""
+
+    def test_rows_8_to_13_carry_a_certificate(self):
+        certified = {row.index for row in PROPERTY_ROWS if row.certificate}
+        assert certified == TWO_SET_ROWS
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 4),
+        st.data(),
+        st.sampled_from(
+            [Pairing.DUAL_SUCC, Pairing.NONDUAL, Pairing.MIRROR_NONDUAL]
+        ),
+    )
+    def test_certificates_hold_and_agree_with_the_scan(self, n, data, pairing):
+        encoding = data.draw(st.integers(0, (1 << (n * n)) - 1))
+        lo, up = tables_for(pairing, n, rows_from_encoding(n, encoding))
+        full = (1 << n) - 1
+        for index in sorted(TWO_SET_ROWS):
+            row = property_row(index)
+            # every relational operator passes, so the scan never runs here
+            assert row.certificate(lo, up, full)
+            assert _first_failure(row, lo, up, full) is None
+            assert _scan_two_set(row, lo, up, full) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.data(),
+        st.sampled_from(
+            [Pairing.DUAL_SUCC, Pairing.NONDUAL, Pairing.MIRROR_NONDUAL]
+        ),
+    )
+    def test_fallback_finds_the_minimal_pair_on_flipped_tables(
+        self, n, data, pairing
+    ):
+        encoding = data.draw(st.integers(0, (1 << (n * n)) - 1))
+        tables = tables_for(pairing, n, rows_from_encoding(n, encoding))
+        lo, up = (list(table) for table in tables)
+        full = (1 << n) - 1
+        flipped = data.draw(st.sampled_from([lo, up]))
+        flipped[data.draw(st.integers(0, full))] ^= 1 << data.draw(
+            st.integers(0, n - 1)
+        )
+        rows = [property_row(index) for index in sorted(TWO_SET_ROWS)]
+        expected = [_scan_two_set(row, lo, up, full) for row in rows]
+        assume(any(failure is not None for failure in expected))
+        for row, failure in zip(rows, expected):
+            assert _first_failure(row, lo, up, full) == failure
+            if failure is not None:
+                assert not row.certificate(lo, up, full)
+
+    def test_failing_row_reports_both_sets(self):
+        # no relation fails rows 8-13 under any pairing, so the tables are
+        # made by hand: u maps both singletons of {0, 1} to the empty set and
+        # the whole universe to itself; monotone but not additive
+        lo = up = [0b00, 0b00, 0b00, 0b11]
+        assert _first_failure(property_row(10), lo, up, 0b11) == (0b01, 0b10)
+        assert _first_failure(property_row(9), lo, up, 0b11) is None
+        assert _first_failure(property_row(13), lo, up, 0b11) is None
+        # the dual table l(X) = -u(-X) is monotone but not multiplicative
+        lo = [0b00, 0b11, 0b11, 0b11]
+        assert _first_failure(property_row(11), lo, up, 0b11) == (0b01, 0b10)
+        assert _first_failure(property_row(8), lo, up, 0b11) is None

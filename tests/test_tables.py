@@ -1,6 +1,8 @@
 """Full table generation: shape, reference comparison, structural sanity
 checks and scheduling-independent determinism."""
 
+from pathlib import Path
+
 import pytest
 
 from rsklab import (
@@ -71,6 +73,11 @@ class TestShape:
         with pytest.raises(InputError):
             generate_table(Pairing.PAWLAK, 2)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(InputError):
+            generate_table(Pairing.DUAL_SUCC, 1, workers=workers)
+
     def test_vacuous_bound(self):
         report = generate_table(Pairing.DUAL_SUCC, 0)
         assert all(v.status == "verified" and v.bound == 0 for v in report.cells)
@@ -136,6 +143,22 @@ class TestDeterminism:
     def test_repeat_run_is_byte_identical(self, dual_report):
         again = generate_table(Pairing.DUAL_SUCC, 3)
         assert report_to_json(again) == report_to_json(dual_report)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGoldenBytes:
+    """The n<=3 table JSON, checked in byte for byte; any change to a
+    verdict, a witness or the serialization shows up here."""
+
+    def test_dual(self, dual_report):
+        golden = (GOLDEN / "table_dual_n3.json").read_text(encoding="utf-8")
+        assert report_to_json(dual_report) == golden
+
+    def test_nondual(self, nondual_report):
+        golden = (GOLDEN / "table_nondual_n3.json").read_text(encoding="utf-8")
+        assert report_to_json(nondual_report) == golden
 
 
 class TestRendering:
