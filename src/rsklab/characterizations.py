@@ -32,8 +32,8 @@ from enum import Enum
 from typing import Callable
 
 from .errors import InputError, NoWitnessError
-from .operators import Pairing
-from .properties import _first_failure, property_row, tables_for
+from .operators import Pairing, approx_tables
+from .properties import first_failure, property_row
 from .relations import (
     BinaryRelation,
     RelationFlags,
@@ -132,10 +132,10 @@ def check_biconditional(
     pairing, conjuncts = _BINDINGS[c]
     n = relation.universe.size
     check_input_size(n)
-    lo, up = tables_for(pairing, n, relation.rows)
+    lo, up = approx_tables(n, relation.rows, pairing)
     full = relation.universe.full_mask
     property_holds = all(
-        _first_failure(property_row(_CONJUNCT_ROW[kind]), lo, up, full) is None
+        first_failure(property_row(_CONJUNCT_ROW[kind]), lo, up, full) is None
         for kind in conjuncts
     )
     flags = classify(relation)

@@ -9,7 +9,6 @@ success/consistent/verified, 1 when a check is refuted or inconsistent
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -21,11 +20,7 @@ from .logic import deductive_closure, is_theory, largest_theory_within
 from .operators import Pairing, lower, upper
 from .properties import check_relation, search_class
 from .relations import RelationClass, classify
-from .tables import generate_table, report_to_json, report_to_markdown
-
-
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+from .tables import generate_table, report_to_json, report_to_markdown, verdict_to_obj
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -42,7 +37,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     relation = rio.load_relation(args.relation)
     flags = classify(relation)
     _emit(
-        _dump(
+        rio.dump_json(
             {
                 "reflexive": flags.reflexive,
                 "symmetric": flags.symmetric,
@@ -64,7 +59,7 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     op = lower if args.op == "lower" else upper
     result = op(pairing, relation, x_set)
     _emit(
-        _dump(
+        rio.dump_json(
             {
                 "pairing": pairing.value,
                 "op": args.op,
@@ -97,7 +92,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if result.y is not None:
             witness["y"] = rio.subset_to_labels(result.y)
         obj["counterexample"] = witness
-    _emit(_dump(obj), args.output)
+    _emit(rio.dump_json(obj), args.output)
     return 0 if result.holds else 1
 
 
@@ -105,25 +100,8 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     pairing = Pairing.from_name(args.pairing)
     relation_class = RelationClass.from_tag(args.relation_class)
     verdict = search_class(args.row, pairing, relation_class, args.max_n)
-    obj: dict = {
-        "row": verdict.row,
-        "pairing": pairing.value,
-        "class": relation_class.value,
-        "status": verdict.status,
-        "bound": verdict.bound,
-    }
-    cex = verdict.counterexample
-    if cex is not None:
-        obj["counterexample"] = {
-            "relation": {
-                "size": cex.relation.universe.size,
-                "pairs": [list(p) for p in cex.relation.pairs()],
-            },
-            "x": list(cex.x.members()),
-        }
-        if cex.y is not None:
-            obj["counterexample"]["y"] = list(cex.y.members())
-    _emit(_dump(obj), args.output)
+    obj = {"row": verdict.row, "pairing": pairing.value, **verdict_to_obj(verdict)}
+    _emit(rio.dump_json(obj), args.output)
     return 1 if verdict.refuted else 0
 
 
@@ -131,7 +109,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     relation = rio.load_relation(args.relation)
     record = check_biconditional(Characterization.from_tag(args.id), relation)
     _emit(
-        _dump(
+        rio.dump_json(
             {
                 "characterization": record.characterization.value,
                 "property_holds": record.property_holds,
@@ -156,7 +134,7 @@ def _cmd_covering(args: argparse.Namespace) -> int:
         for x in range(universe.size)
     }
     _emit(
-        _dump(
+        rio.dump_json(
             {
                 "neighborhoods": neighborhoods,
                 "induced_preorder": flags.preorder,
@@ -172,7 +150,7 @@ def _cmd_logic(args: argparse.Namespace) -> int:
     frame = rio.load_frame(args.frame)
     p_set = rio.load_subset(args.set, frame.propositions)
     _emit(
-        _dump(
+        rio.dump_json(
             {
                 "set": rio.subset_to_labels(p_set),
                 "closure": rio.subset_to_labels(deductive_closure(frame, p_set)),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, RskError
-from .operators import Pairing, lower, upper
+from .operators import Pairing, approx_tables
 from .relations import BinaryRelation, Subset, Universe, check_capacity
 
 
@@ -79,13 +79,17 @@ def definable_masks(covering: Covering) -> list[int]:
 
     Contains the empty union and the whole universe; sorted ascending.
     """
-    neigh = set(neighborhood_masks(covering))
+    return _union_closure(neighborhood_masks(covering))
+
+
+def _union_closure(neigh: list[int]) -> list[int]:
+    distinct = set(neigh)
     family = {0}
     frontier = {0}
     while frontier:
         next_frontier = set()
         for member in frontier:
-            for mask in neigh:
+            for mask in distinct:
                 union = member | mask
                 if union not in family:
                     family.add(union)
@@ -102,23 +106,41 @@ def is_definable(covering: Covering, candidate: Subset) -> bool:
     """Pointwise test: D equals the union of N(x) over its own members."""
     if candidate.universe != covering.universe:
         raise InputError("set and covering belong to different universes")
-    neigh = neighborhood_masks(covering)
-    union = 0
-    for x in range(covering.universe.size):
-        if candidate.bits >> x & 1:
-            union |= neigh[x]
-    return union == candidate.bits
+    return _ct(neighborhood_masks(covering), candidate.bits)[1] == candidate.bits
+
+
+def _ct(
+    neigh: list[int], bits: int, definable: list[int] | None = None
+) -> tuple[int, int]:
+    """(C_t lower, C_t upper) of one set from the neighbourhoods N(x).
+
+    Given the definable family, the upper approximation is also computed
+    as the intersection of the definable supersets, and the two forms are
+    asserted equal.
+    """
+    lower_bits = union_form = 0
+    for x, mask in enumerate(neigh):
+        if not mask & ~bits:
+            lower_bits |= mask
+        if bits >> x & 1:
+            union_form |= mask
+    if definable is not None:
+        intersection_form = definable[-1]  # the whole universe
+        for mask in definable:
+            if not bits & ~mask:
+                intersection_form &= mask
+        if union_form != intersection_form:
+            raise RskError(
+                "internal inconsistency: the two upper-approximation forms disagree"
+            )
+    return lower_bits, union_form
 
 
 def ct_lower(covering: Covering, x_set: Subset) -> Subset:
     """Union of all neighbourhoods contained in the set."""
     if x_set.universe != covering.universe:
         raise InputError("set and covering belong to different universes")
-    bits = 0
-    for mask in neighborhood_masks(covering):
-        if not mask & ~x_set.bits:
-            bits |= mask
-    return Subset(covering.universe, bits)
+    return Subset(covering.universe, _ct(neighborhood_masks(covering), x_set.bits)[0])
 
 
 def ct_upper(covering: Covering, x_set: Subset) -> Subset:
@@ -130,19 +152,8 @@ def ct_upper(covering: Covering, x_set: Subset) -> Subset:
     if x_set.universe != covering.universe:
         raise InputError("set and covering belong to different universes")
     neigh = neighborhood_masks(covering)
-    union_form = 0
-    for x in range(covering.universe.size):
-        if x_set.bits >> x & 1:
-            union_form |= neigh[x]
-    intersection_form = covering.universe.full_mask
-    for mask in definable_masks(covering):
-        if not x_set.bits & ~mask:
-            intersection_form &= mask
-    if union_form != intersection_form:
-        raise RskError(
-            "internal inconsistency: the two upper-approximation forms disagree"
-        )
-    return Subset(covering.universe, union_form)
+    _, upper_bits = _ct(neigh, x_set.bits, _union_closure(neigh))
+    return Subset(covering.universe, upper_bits)
 
 
 def induced_relation(covering: Covering) -> BinaryRelation:
@@ -152,16 +163,15 @@ def induced_relation(covering: Covering) -> BinaryRelation:
 
 def verify_reduction(covering: Covering, *, bound: int | None = None) -> bool:
     """C_t operators equal the non-dual pair of the induced relation, all subsets."""
-    check_capacity(covering.universe.size, bound)
-    relation = induced_relation(covering)
-    universe = covering.universe
-    for bits in range(universe.full_mask + 1):
-        x_set = Subset(universe, bits)
-        if ct_lower(covering, x_set) != lower(Pairing.NONDUAL, relation, x_set):
-            return False
-        if ct_upper(covering, x_set) != upper(Pairing.NONDUAL, relation, x_set):
-            return False
-    return True
+    n = covering.universe.size
+    check_capacity(n, bound)
+    neigh = neighborhood_masks(covering)
+    definable = _union_closure(neigh)
+    lower_table, upper_table = approx_tables(n, neigh, Pairing.NONDUAL)
+    return all(
+        _ct(neigh, bits, definable) == (lower_table[bits], upper_table[bits])
+        for bits in range(covering.universe.full_mask + 1)
+    )
 
 
 def enumerate_coverings(n: int, *, bound: int | None = None) -> Iterator[Covering]:

@@ -151,5 +151,10 @@ def load_frame(path: str | Path) -> ImplicationFrame:
     return ImplicationFrame(universe, build_relation(universe, pairs))
 
 
+def dump_json(obj: Any) -> str:
+    """The one JSON writer for reports: two-space indent, UTF-8 kept as is."""
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
 def subset_to_labels(subset: Subset) -> list[str]:
     return list(subset.labels())

@@ -14,19 +14,25 @@ by :class:`Pairing`:
   is an equivalence; included as a checked special case so the classical
   definitions can be cross-checked against the relational ones.
 
-The module also exposes a small kernel (:func:`approx_tables`) that
-precomputes all four operators as mask-to-mask lookup tables for one
-relation; the exhaustive searches elsewhere in the package live on it.
+Every operator here is fixed by its images of singletons (its atoms):
+an upper operator is a complete join morphism, ``u(X)`` being the union
+of ``u({y})`` over the members y of X, and each lower operator is the
+dual ``l(X) = V minus u'(V minus X)`` of an upper operator ``u'``
+(Jónsson-Tarski; Yao, Inf. Sci. 111, 1998). ``_atom_source`` is the one
+place that decides which atoms each pairing reads. :func:`approx_tables`
+turns them into mask-to-mask lookup tables with one OR per mask, for the
+exhaustive searches elsewhere in the package; :func:`lower` and
+:func:`upper` apply the same atoms to a single set without tabulating,
+in O(n) for the three relational pairings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 from .errors import InputError, PreconditionError
-from .relations import BinaryRelation, Subset, classify, transpose_rows
+from .relations import BinaryRelation, Subset, classify, flags_of_rows, transpose_rows
 
 
 class Pairing(Enum):
@@ -58,52 +64,65 @@ class Pairing(Enum):
             ) from None
 
 
-@dataclass(frozen=True)
-class OperatorTables:
-    """All four pointwise operators of one relation, tabulated by mask."""
-
-    n: int
-    lower_succ: tuple[int, ...]
-    upper_succ: tuple[int, ...]
-    lower_pred: tuple[int, ...]
-    upper_pred: tuple[int, ...]
-
-    def select(self, pairing: Pairing) -> tuple[Sequence[int], Sequence[int]]:
-        if pairing is Pairing.NONDUAL:
-            return self.lower_succ, self.upper_pred
-        if pairing is Pairing.MIRROR_NONDUAL:
-            return self.lower_pred, self.upper_succ
-        if pairing is Pairing.DUAL_SUCC:
-            return self.lower_succ, self.upper_succ
-        raise PreconditionError("PAWLAK has no successor/predecessor tables")
+# Whether the (lower, upper) operator of a pairing takes its atoms from the
+# transpose of the successor rows (True) or from the rows themselves; the
+# lower operator is the dual of the upper operator on its atoms.
+_READS_TRANSPOSE = {
+    Pairing.DUAL_SUCC: (True, True),
+    Pairing.NONDUAL: (True, False),
+    Pairing.MIRROR_NONDUAL: (False, True),
+}
 
 
-def approx_tables(n: int, rows: Sequence[int]) -> OperatorTables:
-    pred = transpose_rows(rows)
-    size = 1 << n
-    l_s = [0] * size
-    u_s = [0] * size
-    l_p = [0] * size
-    u_p = [0] * size
-    for mask in range(size):
-        ls = us = lp = up = 0
+def granule_masks(n: int, rows: Sequence[int]) -> list[int]:
+    """Distinct equivalence classes of a row-encoded equivalence relation."""
+    seen = 0
+    blocks = []
+    for x in range(n):
+        if seen >> x & 1:
+            continue
+        seen |= rows[x]
+        blocks.append(rows[x])
+    return blocks
+
+
+def _atom_source(
+    pairing: Pairing, n: int, rows: Sequence[int]
+) -> tuple[Sequence[int], tuple[bool, bool]]:
+    """Atom rows of a pairing and whether (lower, upper) read their transpose."""
+    if pairing is not Pairing.PAWLAK:
+        return rows, _READS_TRANSPOSE[pairing]
+    if not flags_of_rows(n, rows).equivalence:
+        raise PreconditionError(
+            "the granule-based pairing needs an equivalence relation"
+        )
+    atoms = [0] * n
+    for block in granule_masks(n, rows):
         for x in range(n):
-            bit = 1 << x
-            succ_x = rows[x]
-            pred_x = pred[x]
-            if not succ_x & ~mask:
-                ls |= bit
-            if succ_x & mask:
-                us |= bit
-            if not pred_x & ~mask:
-                lp |= bit
-            if pred_x & mask:
-                up |= bit
-        l_s[mask] = ls
-        u_s[mask] = us
-        l_p[mask] = lp
-        u_p[mask] = up
-    return OperatorTables(n, tuple(l_s), tuple(u_s), tuple(l_p), tuple(u_p))
+            if block >> x & 1:
+                atoms[x] = block
+    return atoms, (False, False)
+
+
+def _join_table(atoms: Sequence[int]) -> list[int]:
+    # table[X] is the union of atoms[y] over y in X; bit i doubles the table
+    table = [0]
+    for atom in atoms:
+        table += [image | atom for image in table]
+    return table
+
+
+def approx_tables(
+    n: int, rows: Sequence[int], pairing: Pairing = Pairing.DUAL_SUCC
+) -> tuple[list[int], list[int]]:
+    """(lower, upper) of one relation under one pairing, as tables by mask."""
+    source, reads = _atom_source(pairing, n, rows)
+    joins = {
+        transposed: _join_table(transpose_rows(source) if transposed else source)
+        for transposed in set(reads)
+    }
+    full = (1 << n) - 1
+    return [full ^ image for image in reversed(joins[reads[0]])], joins[reads[1]]
 
 
 def successor_set(relation: BinaryRelation, x: int) -> Subset:
@@ -115,11 +134,7 @@ def successor_set(relation: BinaryRelation, x: int) -> Subset:
 def predecessor_set(relation: BinaryRelation, x: int) -> Subset:
     """All y with y related to x; the successor set of the transpose."""
     relation.universe.check_index(x)
-    bits = 0
-    for y in range(relation.universe.size):
-        if relation.rows[y] >> x & 1:
-            bits |= 1 << y
-    return Subset(relation.universe, bits)
+    return Subset(relation.universe, transpose_rows(relation.rows)[x])
 
 
 def granules(relation: BinaryRelation) -> list[Subset]:
@@ -131,62 +146,39 @@ def granules(relation: BinaryRelation) -> list[Subset]:
     """
     if not classify(relation).equivalence:
         raise PreconditionError("granules are defined only for equivalence relations")
-    universe = relation.universe
-    seen = 0
-    out: list[Subset] = []
-    for x in range(universe.size):
-        if seen >> x & 1:
-            continue
-        block = relation.rows[x]
-        seen |= block
-        out.append(Subset(universe, block))
-    return out
+    return [
+        Subset(relation.universe, block)
+        for block in granule_masks(relation.universe.size, relation.rows)
+    ]
 
 
-def _check_args(relation: BinaryRelation, x_set: Subset) -> None:
+def _approximate(
+    pairing: Pairing, relation: BinaryRelation, x_set: Subset, side: int
+) -> Subset:
+    # side 0 is the lower operator, the dual of the join of its atoms, side 1
+    # the upper one. A join of transposed atoms is read off the rows (x is in
+    # it iff rows[x] meets the set), so no transpose is built: O(n) per call.
     if x_set.universe != relation.universe:
         raise InputError("set and relation belong to different universes")
-
-
-def _pawlak(relation: BinaryRelation, x_set: Subset, want_lower: bool) -> Subset:
-    blocks = granules(relation)  # raises unless equivalence
-    bits = 0
-    for block in blocks:
-        if want_lower:
-            if not block.bits & ~x_set.bits:
-                bits |= block.bits
-        elif block.bits & x_set.bits:
-            bits |= block.bits
-    return Subset(relation.universe, bits)
+    n = relation.universe.size
+    full = relation.universe.full_mask
+    source, reads = _atom_source(pairing, n, relation.rows)
+    bits = x_set.bits if side else full ^ x_set.bits
+    image = 0
+    for x in range(n):
+        if reads[side]:
+            if source[x] & bits:
+                image |= 1 << x
+        elif bits >> x & 1:
+            image |= source[x]
+    return Subset(relation.universe, image if side else full ^ image)
 
 
 def lower(pairing: Pairing, relation: BinaryRelation, x_set: Subset) -> Subset:
     """Elements whose neighbourhood is contained in the given set."""
-    _check_args(relation, x_set)
-    if pairing is Pairing.PAWLAK:
-        return _pawlak(relation, x_set, want_lower=True)
-    rows = (
-        transpose_rows(relation.rows)
-        if pairing is Pairing.MIRROR_NONDUAL
-        else relation.rows
-    )
-    bits = 0
-    for x in range(relation.universe.size):
-        if not rows[x] & ~x_set.bits:
-            bits |= 1 << x
-    return Subset(relation.universe, bits)
+    return _approximate(pairing, relation, x_set, 0)
 
 
 def upper(pairing: Pairing, relation: BinaryRelation, x_set: Subset) -> Subset:
     """Elements whose neighbourhood meets the given set."""
-    _check_args(relation, x_set)
-    if pairing is Pairing.PAWLAK:
-        return _pawlak(relation, x_set, want_lower=False)
-    rows = (
-        transpose_rows(relation.rows) if pairing is Pairing.NONDUAL else relation.rows
-    )
-    bits = 0
-    for x in range(relation.universe.size):
-        if rows[x] & x_set.bits:
-            bits |= 1 << x
-    return Subset(relation.universe, bits)
+    return _approximate(pairing, relation, x_set, 1)

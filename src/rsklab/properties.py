@@ -42,7 +42,6 @@ from .relations import (
     check_capacity,
     check_input_size,
     flags_of_rows,
-    iter_encodings,
     rows_from_encoding,
 )
 
@@ -212,48 +211,6 @@ def property_row(index: int) -> PropertyRow:
     return PROPERTY_ROWS[index - 1]
 
 
-def granule_masks(n: int, rows: Sequence[int]) -> list[int]:
-    """Distinct equivalence classes of a row-encoded equivalence relation."""
-    seen = 0
-    blocks = []
-    for x in range(n):
-        if seen >> x & 1:
-            continue
-        seen |= rows[x]
-        blocks.append(rows[x])
-    return blocks
-
-
-def _pawlak_tables(n: int, rows: Sequence[int]) -> tuple[list[int], list[int]]:
-    blocks = granule_masks(n, rows)
-    size = 1 << n
-    lo = [0] * size
-    up = [0] * size
-    for mask in range(size):
-        lo_bits = up_bits = 0
-        for block in blocks:
-            if not block & ~mask:
-                lo_bits |= block
-            if block & mask:
-                up_bits |= block
-        lo[mask] = lo_bits
-        up[mask] = up_bits
-    return lo, up
-
-
-def tables_for(
-    pairing: Pairing, n: int, rows: Sequence[int]
-) -> tuple[Sequence[int], Sequence[int]]:
-    """(lower, upper) mask tables for one relation under one pairing."""
-    if pairing is Pairing.PAWLAK:
-        if not flags_of_rows(n, rows).equivalence:
-            raise PreconditionError(
-                "the granule-based pairing needs an equivalence relation"
-            )
-        return _pawlak_tables(n, rows)
-    return approx_tables(n, rows).select(pairing)
-
-
 def eval_property(
     index: int,
     pairing: Pairing,
@@ -273,11 +230,11 @@ def eval_property(
         raise InputError("set and relation belong to different universes")
     n = relation.universe.size
     check_input_size(n)
-    lo, up = tables_for(pairing, n, relation.rows)
+    lo, up = approx_tables(n, relation.rows, pairing)
     return row.evaluate(lo, up, relation.universe.full_mask, x_set.bits, y_set.bits if y_set else 0)
 
 
-def _first_failure(
+def first_failure(
     row: PropertyRow, lo: Sequence[int], up: Sequence[int], full: int
 ) -> tuple[int, int | None] | None:
     """Minimal failing assignment (X asc, then Y asc), or None if the row holds."""
@@ -314,8 +271,8 @@ def check_relation(
     row = property_row(index)
     n = relation.universe.size
     check_input_size(n)
-    lo, up = tables_for(pairing, n, relation.rows)
-    failure = _first_failure(row, lo, up, relation.universe.full_mask)
+    lo, up = approx_tables(n, relation.rows, pairing)
+    failure = first_failure(row, lo, up, relation.universe.full_mask)
     if failure is None:
         return RelationCheck(index, pairing, True)
     x_bits, y_bits = failure
@@ -376,13 +333,13 @@ def scan_class_failures(
         if not pending:
             break
         full = (1 << n) - 1
-        for encoding in iter_encodings(n):
+        for encoding in range(1 << n * n):
             rows = rows_from_encoding(n, encoding)
             if not relation_class.contains_flags(flags_of_rows(n, rows)):
                 continue
-            lo, up = tables_for(pairing, n, rows)
+            lo, up = approx_tables(n, rows, pairing)
             for index in list(pending):
-                failure = _first_failure(pending[index], lo, up, full)
+                failure = first_failure(pending[index], lo, up, full)
                 if failure is not None:
                     found[index] = (n, encoding, failure[0], failure[1])
                     del pending[index]
@@ -391,24 +348,32 @@ def scan_class_failures(
     return found
 
 
-def _verdict_from_failure(
-    index: int,
+def class_verdicts(
     pairing: Pairing,
     relation_class: RelationClass,
     max_n: int,
-    failure: tuple[int, int, int, int | None] | None,
-) -> PropertyVerdict:
-    if failure is None:
-        return PropertyVerdict(index, pairing, relation_class, max_n)
-    n, encoding, x_bits, y_bits = failure
-    universe = Universe(n)
-    relation = BinaryRelation.from_encoding(universe, encoding)
-    cex = Counterexample(
-        relation,
-        Subset(universe, x_bits),
-        None if y_bits is None else Subset(universe, y_bits),
-    )
-    return PropertyVerdict(index, pairing, relation_class, max_n, cex)
+    indices: Iterable[int] = range(1, 24),
+) -> list[PropertyVerdict]:
+    """Verdicts of the given rows in one class, in the order given.
+
+    One scan of the class settles every row; a refuted row carries its
+    minimal counterexample.
+    """
+    indices = list(indices)
+    failures = scan_class_failures(pairing, relation_class, max_n, indices)
+    verdicts = []
+    for index in indices:
+        cex = None
+        if index in failures:
+            n, encoding, x_bits, y_bits = failures[index]
+            universe = Universe(n)
+            cex = Counterexample(
+                BinaryRelation.from_encoding(universe, encoding),
+                Subset(universe, x_bits),
+                None if y_bits is None else Subset(universe, y_bits),
+            )
+        verdicts.append(PropertyVerdict(index, pairing, relation_class, max_n, cex))
+    return verdicts
 
 
 def search_class(
@@ -423,7 +388,4 @@ def search_class(
     if max_n < 0:
         raise InputError(f"max_n must be nonnegative, got {max_n}")
     check_capacity(max_n, bound)
-    failures = scan_class_failures(pairing, relation_class, max_n, [index])
-    return _verdict_from_failure(
-        index, pairing, relation_class, max_n, failures.get(index)
-    )
+    return class_verdicts(pairing, relation_class, max_n, [index])[0]

@@ -18,6 +18,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, InputError
@@ -222,18 +223,8 @@ class RelationClass(Enum):
     Rser = "Rser"
 
     def contains_flags(self, flags: RelationFlags) -> bool:
-        r, s, t = flags.reflexive, flags.symmetric, flags.transitive
-        return {
-            RelationClass.R: True,
-            RelationClass.Rr: r,
-            RelationClass.Rs: s,
-            RelationClass.Rt: t,
-            RelationClass.Rrs: r and s,
-            RelationClass.Rrt: r and t,
-            RelationClass.Rst: s and t,
-            RelationClass.Rrst: r and s and t,
-            RelationClass.Rser: flags.serial,
-        }[self]
+        key = (flags.reflexive, flags.symmetric, flags.transitive, flags.serial)
+        return key in _MEMBERS[self._value_]
 
     def contains(self, relation: BinaryRelation) -> bool:
         return self.contains_flags(classify(relation))
@@ -257,6 +248,25 @@ class RelationClass(Enum):
                 + " or a subscript r/s/t/rs/rt/st/rst/ser, or 'any'"
             )
         return member
+
+
+# Class tag -> the (reflexive, symmetric, transitive, serial) flag tuples it
+# admits. Built once: membership is tested for every encoding of every scan,
+# and a lookup keyed by the tag string avoids hashing enum members.
+_MEMBERS: dict[str, frozenset[tuple[bool, bool, bool, bool]]] = {
+    tag: frozenset(f for f in product((False, True), repeat=4) if admits(*f))
+    for tag, admits in (
+        ("R", lambda r, s, t, ser: True),
+        ("Rr", lambda r, s, t, ser: r),
+        ("Rs", lambda r, s, t, ser: s),
+        ("Rt", lambda r, s, t, ser: t),
+        ("Rrs", lambda r, s, t, ser: r and s),
+        ("Rrt", lambda r, s, t, ser: r and t),
+        ("Rst", lambda r, s, t, ser: s and t),
+        ("Rrst", lambda r, s, t, ser: r and s and t),
+        ("Rser", lambda r, s, t, ser: ser),
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -425,10 +435,6 @@ def reflexive_closure(relation: BinaryRelation) -> BinaryRelation:
     )
 
 
-def iter_encodings(n: int) -> Iterator[int]:
-    return iter(range(1 << (n * n)))
-
-
 def rows_from_encoding(n: int, encoding: int) -> tuple[int, ...]:
     full = (1 << n) - 1
     return tuple((encoding >> (n * x)) & full for x in range(n))
@@ -449,7 +455,7 @@ def enumerate_relations(
         raise InputError(f"universe size must be nonnegative, got {n}")
     check_capacity(n, bound)
     universe = Universe(n)
-    for encoding in iter_encodings(n):
+    for encoding in range(1 << n * n):
         rows = rows_from_encoding(n, encoding)
         if relation_class.contains_flags(flags_of_rows(n, rows)):
             yield BinaryRelation(universe, rows)

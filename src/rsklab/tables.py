@@ -20,18 +20,14 @@ reports are byte-identical for every worker count.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import InputError
+from .io import dump_json
 from .operators import Pairing
-from .properties import (
-    PROPERTY_ROWS,
-    PropertyVerdict,
-    _verdict_from_failure,
-    scan_class_failures,
-)
+from .properties import PROPERTY_ROWS, PropertyVerdict, class_verdicts
 from .relations import RelationClass, check_capacity
 
 TABLE_CLASSES: tuple[RelationClass, ...] = tuple(RelationClass)
@@ -118,20 +114,6 @@ class TableReport:
         return self.cells[(row - 1) * len(TABLE_CLASSES) + column]
 
 
-def _column_verdicts(
-    pairing_name: str, class_tag: str, max_n: int
-) -> list[PropertyVerdict]:
-    # worker entry point: primitives in, verdicts out, order fixed by row index
-    pairing = Pairing(pairing_name)
-    relation_class = RelationClass(class_tag)
-    failures = scan_class_failures(pairing, relation_class, max_n, range(1, 24))
-    return [
-        _verdict_from_failure(row.index, pairing, relation_class, max_n,
-                              failures.get(row.index))
-        for row in PROPERTY_ROWS
-    ]
-
-
 def generate_table(
     pairing: Pairing,
     max_n: int,
@@ -147,21 +129,17 @@ def generate_table(
     if workers < 1:
         raise InputError(f"workers must be at least 1, got {workers}")
     check_capacity(max_n, bound)
-    jobs = [(pairing.value, cls.value, max_n) for cls in TABLE_CLASSES]
+    jobs = (repeat(pairing), TABLE_CLASSES, repeat(max_n))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(_column_job, jobs))
+            columns = list(pool.map(class_verdicts, *jobs))
     else:
-        columns = [_column_job(job) for job in jobs]
+        columns = list(map(class_verdicts, *jobs))
     cells = []
     for row_index in range(23):
         for column in columns:
             cells.append(column[row_index])
     return TableReport(pairing, max_n, tuple(cells))
-
-
-def _column_job(job: tuple[str, str, int]) -> list[PropertyVerdict]:
-    return _column_verdicts(*job)
 
 
 def compare_with_reference(
@@ -183,7 +161,8 @@ def compare_with_reference(
     return mismatches
 
 
-def _verdict_to_obj(verdict: PropertyVerdict) -> dict:
+def verdict_to_obj(verdict: PropertyVerdict) -> dict:
+    """The JSON object of one cell verdict; the only verdict serializer."""
     obj: dict = {
         "row": verdict.row,
         "class": verdict.relation_class.value,
@@ -206,9 +185,9 @@ def report_to_json(report: TableReport) -> str:
     obj = {
         "pairing": report.pairing.value,
         "bound": report.bound,
-        "cells": [_verdict_to_obj(v) for v in report.cells],
+        "cells": [verdict_to_obj(v) for v in report.cells],
     }
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    return dump_json(obj)
 
 
 def report_to_markdown(report: TableReport) -> str:

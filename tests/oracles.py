@@ -37,6 +37,10 @@ def lower_succ(n, pairs, xs: frozenset[int]) -> frozenset[int]:
     return frozenset(x for x in range(n) if successors(n, pairs, x) <= xs)
 
 
+def lower_pred(n, pairs, xs: frozenset[int]) -> frozenset[int]:
+    return frozenset(x for x in range(n) if predecessors(n, pairs, x) <= xs)
+
+
 def upper_succ(n, pairs, xs: frozenset[int]) -> frozenset[int]:
     return frozenset(x for x in range(n) if successors(n, pairs, x) & xs)
 

@@ -2,7 +2,7 @@
 set-comprehension oracles, and the pairing-level identities."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsklab import (
@@ -21,9 +21,12 @@ from rsklab import (
     successor_set,
     upper,
 )
+from rsklab.operators import approx_tables
+from rsklab.relations import rows_from_encoding
 
 from oracles import (
     all_subsets,
+    lower_pred,
     lower_succ,
     pairs_from_encoding,
     pawlak_classes,
@@ -166,6 +169,69 @@ class TestOracleAgreement:
                 assert frozenset(upper(Pairing.NONDUAL, r, x_set)) == upper_pred(
                     n, pairs, xs
                 )
+
+
+def mask_of(members) -> int:
+    return sum(1 << x for x in members)
+
+
+def members_of(bits: int, n: int) -> frozenset[int]:
+    return frozenset(x for x in range(n) if bits >> x & 1)
+
+
+class TestKernelAgainstOracles:
+    """``approx_tables`` builds each table from singleton images and dualizes
+    the lower one; the oracles read neighbourhoods set by set."""
+
+    ORACLES = {
+        Pairing.DUAL_SUCC: (lower_succ, upper_succ),
+        Pairing.NONDUAL: (lower_succ, upper_pred),
+        Pairing.MIRROR_NONDUAL: (lower_pred, upper_succ),
+    }
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 5), st.data(), st.sampled_from(list(ORACLES)))
+    def test_tables_and_single_sets_match_the_oracles(self, n, data, pairing):
+        encoding = data.draw(st.integers(0, (1 << n * n) - 1))
+        pairs = pairs_from_encoding(n, encoding)
+        rows = rows_from_encoding(n, encoding)
+        lo, up = approx_tables(n, rows, pairing)
+        lower_oracle, upper_oracle = self.ORACLES[pairing]
+        assert len(lo) == len(up) == 1 << n
+        for bits in range(1 << n):
+            xs = members_of(bits, n)
+            assert lo[bits] == mask_of(lower_oracle(n, pairs, xs))
+            assert up[bits] == mask_of(upper_oracle(n, pairs, xs))
+        u = Universe(n)
+        relation = BinaryRelation(u, rows)
+        bits = data.draw(st.integers(0, u.full_mask))
+        assert lower(pairing, relation, Subset(u, bits)).bits == lo[bits]
+        assert upper(pairing, relation, Subset(u, bits)).bits == up[bits]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    ), st.data())
+    def test_pawlak_tables_match_the_classes(self, labels, data):
+        # an equivalence drawn as a block label per element
+        n = len(labels)
+        pairs = {(x, y) for x in range(n) for y in range(n) if labels[x] == labels[y]}
+        rows = [mask_of(y for y in range(n) if (x, y) in pairs) for x in range(n)]
+        lo, up = approx_tables(n, rows, Pairing.PAWLAK)
+        classes = pawlak_classes(n, pairs)
+        for bits in range(1 << n):
+            xs = members_of(bits, n)
+            assert lo[bits] == mask_of(x for c in classes if c <= xs for x in c)
+            assert up[bits] == mask_of(x for c in classes if c & xs for x in c)
+        u = Universe(n)
+        relation = BinaryRelation(u, tuple(rows))
+        bits = data.draw(st.integers(0, u.full_mask))
+        assert lower(Pairing.PAWLAK, relation, Subset(u, bits)).bits == lo[bits]
+        assert upper(Pairing.PAWLAK, relation, Subset(u, bits)).bits == up[bits]
+
+    def test_pawlak_tables_reject_a_non_equivalence(self):
+        with pytest.raises(PreconditionError):
+            approx_tables(3, CHAIN.rows, Pairing.PAWLAK)
 
 
 class TestPairingIdentities:

@@ -19,7 +19,8 @@ from rsklab import (
     property_row,
     search_class,
 )
-from rsklab.properties import PROPERTY_ROWS, _first_failure, tables_for
+from rsklab.operators import approx_tables
+from rsklab.properties import PROPERTY_ROWS, first_failure
 from rsklab.relations import rows_from_encoding
 
 U3 = Universe(3)
@@ -214,13 +215,13 @@ class TestTwoSetCertificates:
     )
     def test_certificates_hold_and_agree_with_the_scan(self, n, data, pairing):
         encoding = data.draw(st.integers(0, (1 << (n * n)) - 1))
-        lo, up = tables_for(pairing, n, rows_from_encoding(n, encoding))
+        lo, up = approx_tables(n, rows_from_encoding(n, encoding), pairing)
         full = (1 << n) - 1
         for index in sorted(TWO_SET_ROWS):
             row = property_row(index)
             # every relational operator passes, so the scan never runs here
             assert row.certificate(lo, up, full)
-            assert _first_failure(row, lo, up, full) is None
+            assert first_failure(row, lo, up, full) is None
             assert _scan_two_set(row, lo, up, full) is None
 
     @settings(max_examples=300, deadline=None)
@@ -235,7 +236,7 @@ class TestTwoSetCertificates:
         self, n, data, pairing
     ):
         encoding = data.draw(st.integers(0, (1 << (n * n)) - 1))
-        tables = tables_for(pairing, n, rows_from_encoding(n, encoding))
+        tables = approx_tables(n, rows_from_encoding(n, encoding), pairing)
         lo, up = (list(table) for table in tables)
         full = (1 << n) - 1
         flipped = data.draw(st.sampled_from([lo, up]))
@@ -246,7 +247,7 @@ class TestTwoSetCertificates:
         expected = [_scan_two_set(row, lo, up, full) for row in rows]
         assume(any(failure is not None for failure in expected))
         for row, failure in zip(rows, expected):
-            assert _first_failure(row, lo, up, full) == failure
+            assert first_failure(row, lo, up, full) == failure
             if failure is not None:
                 assert not row.certificate(lo, up, full)
 
@@ -255,10 +256,10 @@ class TestTwoSetCertificates:
         # made by hand: u maps both singletons of {0, 1} to the empty set and
         # the whole universe to itself; monotone but not additive
         lo = up = [0b00, 0b00, 0b00, 0b11]
-        assert _first_failure(property_row(10), lo, up, 0b11) == (0b01, 0b10)
-        assert _first_failure(property_row(9), lo, up, 0b11) is None
-        assert _first_failure(property_row(13), lo, up, 0b11) is None
+        assert first_failure(property_row(10), lo, up, 0b11) == (0b01, 0b10)
+        assert first_failure(property_row(9), lo, up, 0b11) is None
+        assert first_failure(property_row(13), lo, up, 0b11) is None
         # the dual table l(X) = -u(-X) is monotone but not multiplicative
         lo = [0b00, 0b11, 0b11, 0b11]
-        assert _first_failure(property_row(11), lo, up, 0b11) == (0b01, 0b10)
-        assert _first_failure(property_row(8), lo, up, 0b11) is None
+        assert first_failure(property_row(11), lo, up, 0b11) == (0b01, 0b10)
+        assert first_failure(property_row(8), lo, up, 0b11) is None
