@@ -15,7 +15,7 @@ subset) to a relation-class predicate:
 The first six run under the dual pairing, the last two under the
 non-dual one. Both sides of every biconditional are computed
 independently: the property side by exhaustive subset quantification,
-the class side from the classification flags.
+the class side from the base predicates of the conjuncts' classes.
 
 ``proof_witness`` rebuilds the constructive sets used to refute the
 property on a class-violating relation: the successor set of a
@@ -34,13 +34,7 @@ from typing import Callable
 from .errors import InputError, NoWitnessError
 from .operators import Pairing, approx_tables
 from .properties import first_failure, property_row
-from .relations import (
-    BinaryRelation,
-    RelationFlags,
-    Subset,
-    check_input_size,
-    classify,
-)
+from .relations import BinaryRelation, RelationClass, Subset, check_input_size
 
 
 class Characterization(Enum):
@@ -65,30 +59,30 @@ class Characterization(Enum):
         )
 
 
-# conjunct kinds, in the order the composite theorems state them
-_REFL_LOWER = "reflexive-lower"
-_REFL_UPPER = "reflexive-upper"
-_SYM = "symmetric"
-_TRANS_UPPER = "transitive-upper"
-_TRANS_NONDUAL = "transitive-nondual"
+@dataclass(frozen=True)
+class _Conjunct:
+    """A property row, the class it characterizes, and a refuting set's bits."""
 
-_CONJUNCT_ROW = {
-    _REFL_LOWER: 6,
-    _REFL_UPPER: 7,
-    _SYM: 23,
-    _TRANS_UPPER: 18,
-    _TRANS_NONDUAL: 21,
-}
+    row: int
+    relation_class: RelationClass
+    witness: Callable[[BinaryRelation], int]
 
-_CONJUNCT_FLAG: dict[str, Callable[[RelationFlags], bool]] = {
-    _REFL_LOWER: lambda f: f.reflexive,
-    _REFL_UPPER: lambda f: f.reflexive,
-    _SYM: lambda f: f.symmetric,
-    _TRANS_UPPER: lambda f: f.transitive,
-    _TRANS_NONDUAL: lambda f: f.transitive,
-}
 
-_BINDINGS: dict[Characterization, tuple[Pairing, tuple[str, ...]]] = {
+# The conjuncts, in the order the composite theorems state them; each
+# witness is the constructive set of the contrapositive argument.
+_REFL_LOWER = _Conjunct(6, RelationClass.Rr, lambda r: r.rows[_smallest_non_loop(r)])
+_REFL_UPPER = _Conjunct(7, RelationClass.Rr, lambda r: 1 << _smallest_non_loop(r))
+_SYM = _Conjunct(
+    23, RelationClass.Rs, lambda r: r.rows[_smallest_asymmetric_pair(r)[1]]
+)
+_TRANS_UPPER = _Conjunct(
+    18, RelationClass.Rt, lambda r: 1 << _smallest_open_triple(r)[2]
+)
+_TRANS_NONDUAL = _Conjunct(
+    21, RelationClass.Rt, lambda r: 1 << _smallest_open_triple(r)[0]
+)
+
+_BINDINGS: dict[Characterization, tuple[Pairing, tuple[_Conjunct, ...]]] = {
     Characterization.REFLEXIVE_LOWER: (Pairing.DUAL_SUCC, (_REFL_LOWER,)),
     Characterization.REFLEXIVE_UPPER: (Pairing.DUAL_SUCC, (_REFL_UPPER,)),
     Characterization.SYMMETRIC: (Pairing.DUAL_SUCC, (_SYM,)),
@@ -111,7 +105,7 @@ def characterization_pairing(c: Characterization) -> Pairing:
 
 
 def characterization_rows(c: Characterization) -> tuple[int, ...]:
-    return tuple(_CONJUNCT_ROW[kind] for kind in _BINDINGS[c][1])
+    return tuple(conjunct.row for conjunct in _BINDINGS[c][1])
 
 
 @dataclass(frozen=True)
@@ -135,11 +129,12 @@ def check_biconditional(
     lo, up = approx_tables(n, relation.rows, pairing)
     full = relation.universe.full_mask
     property_holds = all(
-        first_failure(property_row(_CONJUNCT_ROW[kind]), lo, up, full) is None
-        for kind in conjuncts
+        first_failure(property_row(conjunct.row), lo, up, full) is None
+        for conjunct in conjuncts
     )
-    flags = classify(relation)
-    class_holds = all(_CONJUNCT_FLAG[kind](flags) for kind in conjuncts)
+    class_holds = all(
+        conjunct.relation_class.contains(relation) for conjunct in conjuncts
+    )
     return ConsistencyRecord(c, property_holds, class_holds)
 
 
@@ -177,27 +172,9 @@ def proof_witness(c: Characterization, relation: BinaryRelation) -> Subset:
     Follows the constructive contrapositive arguments, applied to the
     first conjunct (in theorem order) whose class predicate fails.
     """
-    universe = relation.universe
-    flags = classify(relation)
-    _, conjuncts = _BINDINGS[c]
-    for kind in conjuncts:
-        if _CONJUNCT_FLAG[kind](flags):
-            continue
-        if kind == _REFL_LOWER:
-            x = _smallest_non_loop(relation)
-            return Subset(universe, relation.rows[x])
-        if kind == _REFL_UPPER:
-            x = _smallest_non_loop(relation)
-            return Subset(universe, 1 << x)
-        if kind == _SYM:
-            _, y = _smallest_asymmetric_pair(relation)
-            return Subset(universe, relation.rows[y])
-        if kind == _TRANS_UPPER:
-            _, _, z = _smallest_open_triple(relation)
-            return Subset(universe, 1 << z)
-        if kind == _TRANS_NONDUAL:
-            x, _, _ = _smallest_open_triple(relation)
-            return Subset(universe, 1 << x)
+    for conjunct in _BINDINGS[c][1]:
+        if not conjunct.relation_class.contains(relation):
+            return Subset(relation.universe, conjunct.witness(relation))
     raise NoWitnessError(
         f"relation satisfies the {c.value} class predicate; nothing to refute"
     )

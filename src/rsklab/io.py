@@ -33,15 +33,22 @@ from .relations import (
 
 def _load_json(path: str | Path) -> Any:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
+    except ValueError:
+        # the decoder's other ValueError: an int literal over the digit limit
+        raise InputError(f"{path}: a number has too many digits") from None
 
 
 def _require_object(value: Any, context: str, allowed: set[str]) -> dict:

@@ -32,7 +32,7 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import InputError, PreconditionError
-from .relations import BinaryRelation, Subset, classify, flags_of_rows, transpose_rows
+from .relations import BinaryRelation, RelationClass, Subset, transpose_rows
 
 
 class Pairing(Enum):
@@ -92,7 +92,7 @@ def _atom_source(
     """Atom rows of a pairing and whether (lower, upper) read their transpose."""
     if pairing is not Pairing.PAWLAK:
         return rows, _READS_TRANSPOSE[pairing]
-    if not flags_of_rows(n, rows).equivalence:
+    if not RelationClass.Rrst.admits(n, rows):
         raise PreconditionError(
             "the granule-based pairing needs an equivalence relation"
         )
@@ -144,7 +144,7 @@ def granules(relation: BinaryRelation) -> list[Subset]:
     PreconditionError for non-equivalences: the granule-based definitions
     are only meaningful on a partition.
     """
-    if not classify(relation).equivalence:
+    if not RelationClass.Rrst.contains(relation):
         raise PreconditionError("granules are defined only for equivalence relations")
     return [
         Subset(relation.universe, block)

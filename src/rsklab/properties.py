@@ -41,8 +41,7 @@ from .relations import (
     Universe,
     check_capacity,
     check_input_size,
-    flags_of_rows,
-    rows_from_encoding,
+    class_rows,
 )
 
 _Eval = Callable[[Sequence[int], Sequence[int], int, int, int], bool]
@@ -333,10 +332,7 @@ def scan_class_failures(
         if not pending:
             break
         full = (1 << n) - 1
-        for encoding in range(1 << n * n):
-            rows = rows_from_encoding(n, encoding)
-            if not relation_class.contains_flags(flags_of_rows(n, rows)):
-                continue
+        for encoding, rows in class_rows(n, relation_class):
             lo, up = approx_tables(n, rows, pairing)
             for index in list(pending):
                 failure = first_failure(pending[index], lo, up, full)

@@ -18,8 +18,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapacityError, InputError
 
@@ -206,6 +205,42 @@ class RelationFlags:
         return self.reflexive and self.symmetric and self.transitive
 
 
+def _reflexive(n: int, rows: Sequence[int]) -> bool:
+    return all(rows[x] >> x & 1 for x in range(n))
+
+
+def _symmetric(n: int, rows: Sequence[int]) -> bool:
+    for x in range(n):
+        row = rows[x]
+        for y in range(n):
+            if row >> y & 1 and not rows[y] >> x & 1:
+                return False
+    return True
+
+
+def _transitive(n: int, rows: Sequence[int]) -> bool:
+    for x in range(n):
+        row = rows[x]
+        reachable = 0
+        for y in range(n):
+            if row >> y & 1:
+                reachable |= rows[y]
+        if reachable & ~row:
+            return False
+    return True
+
+
+def _serial(n: int, rows: Sequence[int]) -> bool:
+    return all(rows[x] for x in range(n))
+
+
+def flags_of_rows(n: int, rows: Sequence[int]) -> RelationFlags:
+    """Classify a row-encoded relation against all four base predicates."""
+    return RelationFlags(
+        _reflexive(n, rows), _symmetric(n, rows), _transitive(n, rows), _serial(n, rows)
+    )
+
+
 class RelationClass(Enum):
     """The nine relation classes used as table columns.
 
@@ -222,12 +257,12 @@ class RelationClass(Enum):
     Rrst = "Rrst"
     Rser = "Rser"
 
-    def contains_flags(self, flags: RelationFlags) -> bool:
-        key = (flags.reflexive, flags.symmetric, flags.transitive, flags.serial)
-        return key in _MEMBERS[self._value_]
+    def admits(self, n: int, rows: Sequence[int]) -> bool:
+        """Whether a row-encoded relation satisfies every predicate of the class."""
+        return all(holds(n, rows) for holds in _CONJUNCTS[self._value_])
 
     def contains(self, relation: BinaryRelation) -> bool:
-        return self.contains_flags(classify(relation))
+        return self.admits(relation.universe.size, relation.rows)
 
     @classmethod
     def from_tag(cls, tag: str) -> RelationClass:
@@ -250,22 +285,19 @@ class RelationClass(Enum):
         return member
 
 
-# Class tag -> the (reflexive, symmetric, transitive, serial) flag tuples it
-# admits. Built once: membership is tested for every encoding of every scan,
-# and a lookup keyed by the tag string avoids hashing enum members.
-_MEMBERS: dict[str, frozenset[tuple[bool, bool, bool, bool]]] = {
-    tag: frozenset(f for f in product((False, True), repeat=4) if admits(*f))
-    for tag, admits in (
-        ("R", lambda r, s, t, ser: True),
-        ("Rr", lambda r, s, t, ser: r),
-        ("Rs", lambda r, s, t, ser: s),
-        ("Rt", lambda r, s, t, ser: t),
-        ("Rrs", lambda r, s, t, ser: r and s),
-        ("Rrt", lambda r, s, t, ser: r and t),
-        ("Rst", lambda r, s, t, ser: s and t),
-        ("Rrst", lambda r, s, t, ser: r and s and t),
-        ("Rser", lambda r, s, t, ser: ser),
-    )
+# Class tag -> the base predicates the class conjoins, cheapest first. Keyed
+# by the tag string: membership is tested for every encoding of every scan,
+# and a string lookup avoids hashing enum members.
+_CONJUNCTS: dict[str, tuple[Callable[[int, Sequence[int]], bool], ...]] = {
+    "R": (),
+    "Rr": (_reflexive,),
+    "Rs": (_symmetric,),
+    "Rt": (_transitive,),
+    "Rrs": (_reflexive, _symmetric),
+    "Rrt": (_reflexive, _transitive),
+    "Rst": (_symmetric, _transitive),
+    "Rrst": (_reflexive, _symmetric, _transitive),
+    "Rser": (_serial,),
 }
 
 
@@ -291,10 +323,9 @@ class BinaryRelation:
     @classmethod
     def from_encoding(cls, universe: Universe, encoding: int) -> BinaryRelation:
         n = universe.size
-        full = universe.full_mask
         if not 0 <= encoding < 1 << (n * n):
             raise InputError(f"encoding {encoding} does not fit {n}x{n} relations")
-        return cls(universe, tuple((encoding >> (n * x)) & full for x in range(n)))
+        return cls(universe, rows_from_encoding(n, encoding))
 
     def has(self, x: int, y: int) -> bool:
         self.universe.check_index(x)
@@ -358,32 +389,6 @@ def build_relation(
     return BinaryRelation(universe, tuple(rows))
 
 
-def flags_of_rows(n: int, rows: Sequence[int]) -> RelationFlags:
-    """Classify a row-encoded relation. Kernel shared by every search loop."""
-    reflexive = all(rows[x] >> x & 1 for x in range(n))
-    symmetric = True
-    for x in range(n):
-        row = rows[x]
-        for y in range(n):
-            if row >> y & 1 and not rows[y] >> x & 1:
-                symmetric = False
-                break
-        if not symmetric:
-            break
-    transitive = True
-    for x in range(n):
-        row = rows[x]
-        reachable = 0
-        for y in range(n):
-            if row >> y & 1:
-                reachable |= rows[y]
-        if reachable & ~row:
-            transitive = False
-            break
-    serial = all(rows[x] for x in range(n))
-    return RelationFlags(reflexive, symmetric, transitive, serial)
-
-
 def classify(relation: BinaryRelation) -> RelationFlags:
     """Evaluate the reflexive/symmetric/transitive/serial predicates."""
     return flags_of_rows(relation.universe.size, relation.rows)
@@ -440,6 +445,21 @@ def rows_from_encoding(n: int, encoding: int) -> tuple[int, ...]:
     return tuple((encoding >> (n * x)) & full for x in range(n))
 
 
+def class_rows(
+    n: int, relation_class: RelationClass
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """``(encoding, rows)`` of every n-element relation of the class, ascending.
+
+    The one enumeration of a class: ``enumerate_relations`` and the table
+    searches both read it. No capacity check; callers bound ``n``.
+    """
+    admits = relation_class.admits
+    for encoding in range(1 << n * n):
+        rows = rows_from_encoding(n, encoding)
+        if admits(n, rows):
+            yield encoding, rows
+
+
 def enumerate_relations(
     n: int,
     relation_class: RelationClass = RelationClass.R,
@@ -455,7 +475,5 @@ def enumerate_relations(
         raise InputError(f"universe size must be nonnegative, got {n}")
     check_capacity(n, bound)
     universe = Universe(n)
-    for encoding in range(1 << n * n):
-        rows = rows_from_encoding(n, encoding)
-        if relation_class.contains_flags(flags_of_rows(n, rows)):
-            yield BinaryRelation(universe, rows)
+    for _, rows in class_rows(n, relation_class):
+        yield BinaryRelation(universe, rows)

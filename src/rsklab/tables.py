@@ -131,7 +131,8 @@ def generate_table(
     check_capacity(max_n, bound)
     jobs = (repeat(pairing), TABLE_CLASSES, repeat(max_n))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # one job per column; a larger pool would only start idle processes
+        with ProcessPoolExecutor(max_workers=min(workers, len(TABLE_CLASSES))) as pool:
             columns = list(pool.map(class_verdicts, *jobs))
     else:
         columns = list(map(class_verdicts, *jobs))

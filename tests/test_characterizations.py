@@ -1,5 +1,8 @@
 """Characterization biconditionals and their constructive witnesses."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from rsklab import (
@@ -29,6 +32,7 @@ IDENTITY3 = build_relation(U3, [(i, i) for i in range(3)])
 ONE_ARROW = build_relation(U2, [(0, 1)])
 
 ALL = list(Characterization)
+WITNESS_GOLDEN = Path(__file__).parent / "golden" / "witnesses_n3.json"
 
 
 def each_relation(n):
@@ -182,3 +186,24 @@ class TestBiconditionals:
                 continue
             witness = proof_witness(c, relation)
             assert not conjunction_at(c, relation, witness)
+
+
+class TestWitnessGolden:
+    """Every n<=3 relation under every characterization: the biconditional
+    record and, where the class side fails, the witness. Captured before
+    the class predicates were rewritten; it pins which conjunct a composite
+    characterization refutes first, not only that the witness refutes."""
+
+    def test_records_and_witnesses_match_the_golden(self):
+        golden = json.loads(WITNESS_GOLDEN.read_text(encoding="utf-8"))
+        assert len(golden) == len(ALL) * 3
+        for c in ALL:
+            for n in (1, 2, 3):
+                got = []
+                for relation in each_relation(n):
+                    record = check_biconditional(c, relation)
+                    entry = [record.property_holds, record.class_holds]
+                    if not record.class_holds:
+                        entry.append(list(proof_witness(c, relation).members()))
+                    got.append(entry)
+                assert got == golden[f"{c.value} n={n}"], (c, n)

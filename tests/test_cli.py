@@ -274,6 +274,27 @@ class TestErrorPaths:
         assert code == 2 and "line 1" in err
 
     @pytest.mark.parametrize(
+        "content,message",
+        [
+            (b"[" * 200_000 + b"]" * 200_000, "JSON nested too deeply"),
+            (
+                b'{"universe": {"size": ' + b"9" * 5001 + b'}, "pairs": []}',
+                "a number has too many digits",
+            ),
+            (b"\xff\xfe\x00garbage", "not UTF-8 text (byte 0)"),
+        ],
+        ids=["deeply-nested", "over-digit-limit", "not-utf8"],
+    )
+    def test_malformed_file_is_one_line_exit_two(
+        self, capsys, tmp_path, content, message
+    ):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, ["classify", "--relation", str(path)])
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["classify"],

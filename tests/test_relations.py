@@ -18,8 +18,35 @@ from rsklab import (
     reflexive_closure,
     transitive_closure,
 )
+from rsklab.relations import class_rows
 
 from oracles import classify_pairs, pairs_from_encoding
+
+# Which oracle flags (reflexive, symmetric, transitive, serial) each class
+# requires, read off its subscript.
+ORACLE_CONJUNCTS = {
+    RelationClass.R: (),
+    RelationClass.Rr: (0,),
+    RelationClass.Rs: (1,),
+    RelationClass.Rt: (2,),
+    RelationClass.Rrs: (0, 1),
+    RelationClass.Rrt: (0, 2),
+    RelationClass.Rst: (1, 2),
+    RelationClass.Rrst: (0, 1, 2),
+    RelationClass.Rser: (3,),
+}
+
+
+def oracle_member(relation_class, n, pairs):
+    flags = classify_pairs(n, pairs)
+    return all(flags[i] for i in ORACLE_CONJUNCTS[relation_class])
+
+
+@st.composite
+def row_relations(draw, max_n=5):
+    n = draw(st.integers(0, max_n))
+    rows = tuple(draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+    return n, rows
 
 
 def rel(n, pairs):
@@ -218,15 +245,35 @@ class TestEnumeration:
         encodings = [r.encoding for r in enumerate_relations(2)]
         assert encodings == sorted(set(encodings)) == list(range(16))
 
-    @pytest.mark.parametrize(
-        "relation_class", [RelationClass.Rr, RelationClass.Rst, RelationClass.Rser]
-    )
+    @pytest.mark.parametrize("relation_class", list(RelationClass))
     def test_class_stream_equals_filtered_full_stream(self, relation_class):
         for n in (1, 2, 3):
             filtered = [
                 r for r in enumerate_relations(n) if relation_class.contains(r)
             ]
             assert list(enumerate_relations(n, relation_class)) == filtered
+
+    @given(row_relations())
+    def test_admits_is_the_oracle_conjunction(self, relation):
+        n, rows = relation
+        pairs = {(x, y) for x in range(n) for y in range(n) if rows[x] >> y & 1}
+        for relation_class in RelationClass:
+            assert relation_class.admits(n, rows) == oracle_member(
+                relation_class, n, pairs
+            ), relation_class
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_class_rows_are_the_oracle_members_in_order(self, n):
+        encodings = range(1 << n * n)
+        pairs = [pairs_from_encoding(n, e) for e in encodings]
+        for relation_class in RelationClass:
+            got = list(class_rows(n, relation_class))
+            assert [e for e, _ in got] == [
+                e for e in encodings if oracle_member(relation_class, n, pairs[e])
+            ]
+            assert got == [
+                (r.encoding, r.rows) for r in enumerate_relations(n, relation_class)
+            ]
 
     def test_capacity_bound(self):
         with pytest.raises(CapacityError):

@@ -37,23 +37,19 @@ def nondual_report():
 
 
 def _subclass_pairs():
-    """(smaller, larger) class pairs, derived from realizable flag vectors."""
-    realizable = set()
-    for n in (1, 2, 3):
-        for r in enumerate_relations(n):
-            from rsklab import classify
-
-            realizable.add(classify(r))
-    pairs = []
-    for small in TABLE_CLASSES:
-        for large in TABLE_CLASSES:
-            if small is large:
-                continue
-            if all(
-                large.contains_flags(f) for f in realizable if small.contains_flags(f)
-            ):
-                pairs.append((small, large))
-    return pairs
+    """(smaller, larger) class pairs: every n<=3 relation of the smaller
+    class is a member of the larger one."""
+    relations = [r for n in (1, 2, 3) for r in enumerate_relations(n)]
+    members = {
+        cls: {i for i, r in enumerate(relations) if cls.contains(r)}
+        for cls in TABLE_CLASSES
+    }
+    return [
+        (small, large)
+        for small in TABLE_CLASSES
+        for large in TABLE_CLASSES
+        if small is not large and members[small] <= members[large]
+    ]
 
 
 class TestShape:
@@ -143,6 +139,31 @@ class TestDeterminism:
     def test_repeat_run_is_byte_identical(self, dual_report):
         again = generate_table(Pairing.DUAL_SUCC, 3)
         assert report_to_json(again) == report_to_json(dual_report)
+
+    def test_pool_is_capped_at_one_worker_per_column(self, monkeypatch):
+        # a stand-in executor that records its size and maps in-process, so
+        # no pool is ever started with the large value
+        sizes = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("rsklab.tables.ProcessPoolExecutor", InlineExecutor)
+        report = generate_table(Pairing.DUAL_SUCC, 2, workers=64)
+        assert sizes == [len(TABLE_CLASSES)] == [9]
+        assert report_to_json(report) == report_to_json(
+            generate_table(Pairing.DUAL_SUCC, 2)
+        )
 
 
 GOLDEN = Path(__file__).parent / "golden"
