@@ -452,12 +452,70 @@ def class_rows(
 
     The one enumeration of a class: ``enumerate_relations`` and the table
     searches both read it. No capacity check; callers bound ``n``.
+
+    Builds only the members, by backtracking over rows from ``rows[n-1]``
+    (the most significant part of the encoding) down to ``rows[0]``,
+    trying each row's candidates in ascending order, so encodings come out
+    ascending. A row's candidates obey the base predicates the class
+    conjoins (``_CONJUNCTS``) against the rows already fixed: reflexive
+    sets bit x of row x, symmetric copies bits y > x from the fixed rows,
+    serial rejects an empty row, and transitive needs ``rows[y] <= rows[x]``
+    for each fixed y in row x and ``rows[x] <= rows[z]`` for each fixed z
+    with x in row z. Each pair of rows is checked once both are fixed, so
+    a complete assignment is a member, and every member is reached.
     """
-    admits = relation_class.admits
-    for encoding in range(1 << n * n):
-        rows = rows_from_encoding(n, encoding)
-        if admits(n, rows):
-            yield encoding, rows
+    conjuncts = _CONJUNCTS[relation_class.value]
+    reflexive = _reflexive in conjuncts
+    symmetric = _symmetric in conjuncts
+    transitive = _transitive in conjuncts
+    serial = _serial in conjuncts
+    full = (1 << n) - 1
+    rows = [0] * n
+
+    def extend(x: int, encoding: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+        if x < 0:
+            yield encoding, tuple(rows)
+            return
+        bit = 1 << x
+        forced = bit if reflexive else 0
+        allowed = full
+        if symmetric:
+            mirrored = 0
+            for y in range(x + 1, n):
+                if rows[y] & bit:
+                    mirrored |= 1 << y
+            forced |= mirrored
+            allowed = (bit << 1) - 1 | mirrored
+        fixed_in = []
+        if transitive:
+            # rows[x] <= rows[z] for every fixed z with x in rows[z]; a fixed
+            # y may join rows[x] only if rows[y] fits under that bound.
+            for z in range(x + 1, n):
+                if rows[z] & bit:
+                    allowed &= rows[z]
+            for y in range(x + 1, n):
+                if allowed >> y & 1 and rows[y] & ~allowed:
+                    allowed &= ~(1 << y)
+            fixed_in = [
+                (1 << y, rows[y]) for y in range(x + 1, n) if allowed >> y & 1
+            ]
+        if forced & ~allowed:
+            return
+        free = allowed & ~forced
+        shift = n * x
+        sub = 0
+        while True:
+            row = forced | sub
+            if (row or not serial) and all(
+                not (row & y_bit and y_row & ~row) for y_bit, y_row in fixed_in
+            ):
+                rows[x] = row
+                yield from extend(x - 1, encoding | row << shift)
+            if sub == free:
+                break
+            sub = (sub - free) & free  # next larger subset of free
+
+    return extend(n - 1, 0)
 
 
 def enumerate_relations(

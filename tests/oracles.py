@@ -2,12 +2,29 @@
 
 Everything here works on plain Python sets of pairs and frozensets of
 elements, deliberately sharing no code with the package's bitmask
-kernel, so agreement between the two is meaningful.
+kernel, so agreement between the two is meaningful. The one exception is
+``reference_scan``, which takes the package's operator kernel and
+assignment search as given and replaces only the class enumeration.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
+
+# Which classify_pairs flags (reflexive, symmetric, transitive, serial) each
+# relation class requires, read off the subscript of its tag.
+CLASS_FLAGS = {
+    "R": (),
+    "Rr": (0,),
+    "Rs": (1,),
+    "Rt": (2,),
+    "Rrs": (0, 1),
+    "Rrt": (0, 2),
+    "Rst": (1, 2),
+    "Rrst": (0, 1, 2),
+    "Rser": (3,),
+}
 
 
 def classify_pairs(n: int, pairs: set[tuple[int, int]]):
@@ -72,3 +89,51 @@ def pairs_from_encoding(n: int, encoding: int) -> set[tuple[int, int]]:
     return {
         (x, y) for x in range(n) for y in range(n) if encoding >> (x * n + y) & 1
     }
+
+
+def in_class(tag: str, flags) -> bool:
+    """Whether classify_pairs flags satisfy every predicate of the class."""
+    return all(flags[i] for i in CLASS_FLAGS[tag])
+
+
+@lru_cache(maxsize=None)
+def encoding_flags(n: int) -> tuple[tuple[bool, bool, bool, bool], ...]:
+    """classify_pairs of every n-element relation, indexed by encoding."""
+    return tuple(
+        classify_pairs(n, pairs_from_encoding(n, e)) for e in range(1 << n * n)
+    )
+
+
+def class_encodings(n: int, tag: str) -> list[int]:
+    """Encodings of the class's n-element relations: all of them, filtered."""
+    flags = encoding_flags(n)
+    return [e for e in range(1 << n * n) if in_class(tag, flags[e])]
+
+
+def reference_scan(pairing, tag: str, max_n: int, indices):
+    """``scan_class_failures`` over the oracle-filtered class enumeration.
+
+    Sizes, then encodings, ascending; each row is settled by the first
+    member with a failing assignment, found by the package's
+    ``approx_tables`` and ``first_failure``.
+    """
+    from rsklab.operators import approx_tables
+    from rsklab.properties import first_failure, property_row
+
+    pending = {index: property_row(index) for index in indices}
+    found = {}
+    for n in range(1, max_n + 1):
+        if not pending:
+            break
+        full = (1 << n) - 1
+        for encoding in class_encodings(n, tag):
+            rows = [encoding >> n * x & full for x in range(n)]
+            lo, up = approx_tables(n, rows, pairing)
+            for index in list(pending):
+                failure = first_failure(pending[index], lo, up, full)
+                if failure is not None:
+                    found[index] = (n, encoding, *failure)
+                    del pending[index]
+            if not pending:
+                break
+    return found

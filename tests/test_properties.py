@@ -20,8 +20,10 @@ from rsklab import (
     search_class,
 )
 from rsklab.operators import approx_tables
-from rsklab.properties import PROPERTY_ROWS, first_failure
+from rsklab.properties import PROPERTY_ROWS, first_failure, scan_class_failures
 from rsklab.relations import rows_from_encoding
+
+from oracles import reference_scan
 
 U3 = Universe(3)
 CHAIN = build_relation(U3, [(0, 1), (1, 2)])
@@ -186,6 +188,23 @@ class TestSearchClass:
             assert verdict.refuted
             cex = verdict.counterexample
             assert not eval_property(row, Pairing.NONDUAL, cex.relation, cex.x, cex.y)
+
+
+class TestScanAgainstReference:
+    """Pairings the golden tables do not pin, against the oracle-filtered scan."""
+
+    @pytest.mark.parametrize("relation_class", list(RelationClass))
+    def test_mirror_nondual_all_classes(self, relation_class):
+        pairing = Pairing.MIRROR_NONDUAL
+        assert scan_class_failures(
+            pairing, relation_class, 3, range(1, 24)
+        ) == reference_scan(pairing, relation_class.value, 3, range(1, 24))
+
+    def test_pawlak_equivalences(self):
+        pairing = Pairing.PAWLAK
+        assert scan_class_failures(
+            pairing, RelationClass.Rrst, 4, range(1, 24)
+        ) == reference_scan(pairing, "Rrst", 4, range(1, 24))
 
 
 def _scan_two_set(row, lo, up, full):

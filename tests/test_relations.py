@@ -18,28 +18,9 @@ from rsklab import (
     reflexive_closure,
     transitive_closure,
 )
-from rsklab.relations import class_rows
+from rsklab.relations import class_rows, rows_from_encoding
 
-from oracles import classify_pairs, pairs_from_encoding
-
-# Which oracle flags (reflexive, symmetric, transitive, serial) each class
-# requires, read off its subscript.
-ORACLE_CONJUNCTS = {
-    RelationClass.R: (),
-    RelationClass.Rr: (0,),
-    RelationClass.Rs: (1,),
-    RelationClass.Rt: (2,),
-    RelationClass.Rrs: (0, 1),
-    RelationClass.Rrt: (0, 2),
-    RelationClass.Rst: (1, 2),
-    RelationClass.Rrst: (0, 1, 2),
-    RelationClass.Rser: (3,),
-}
-
-
-def oracle_member(relation_class, n, pairs):
-    flags = classify_pairs(n, pairs)
-    return all(flags[i] for i in ORACLE_CONJUNCTS[relation_class])
+from oracles import class_encodings, classify_pairs, in_class, pairs_from_encoding
 
 
 @st.composite
@@ -258,22 +239,46 @@ class TestEnumeration:
         n, rows = relation
         pairs = {(x, y) for x in range(n) for y in range(n) if rows[x] >> y & 1}
         for relation_class in RelationClass:
-            assert relation_class.admits(n, rows) == oracle_member(
-                relation_class, n, pairs
+            assert relation_class.admits(n, rows) == in_class(
+                relation_class.value, classify_pairs(n, pairs)
             ), relation_class
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_class_rows_are_the_oracle_members_in_order(self, n):
-        encodings = range(1 << n * n)
-        pairs = [pairs_from_encoding(n, e) for e in encodings]
         for relation_class in RelationClass:
             got = list(class_rows(n, relation_class))
-            assert [e for e, _ in got] == [
-                e for e in encodings if oracle_member(relation_class, n, pairs[e])
-            ]
-            assert got == [
-                (r.encoding, r.rows) for r in enumerate_relations(n, relation_class)
-            ]
+            assert [e for e, _ in got] == class_encodings(n, relation_class.value)
+            for encoding, rows in got:
+                assert {
+                    (x, y) for x in range(n) for y in range(n) if rows[x] >> y & 1
+                } == pairs_from_encoding(n, encoding)
+
+    # Labelled class sizes at n=5: equivalences are Bell(5), partial
+    # equivalences Bell(6), reflexive symmetric relations 2^10, pre-orders
+    # OEIS A000798, symmetric relations 2^15, transitive relations A006905.
+    @pytest.mark.parametrize(
+        "relation_class,size",
+        [
+            (RelationClass.Rrst, 52),
+            (RelationClass.Rst, 203),
+            (RelationClass.Rrs, 1024),
+            (RelationClass.Rrt, 6942),
+            (RelationClass.Rs, 32768),
+            (RelationClass.Rt, 154303),
+        ],
+    )
+    def test_class_rows_at_five_are_exactly_the_class(self, relation_class, size):
+        # strictly ascending, all members, as many as the class has: together
+        # these make the stream exactly the class, in order
+        previous = -1
+        count = 0
+        for encoding, rows in class_rows(5, relation_class):
+            assert encoding > previous
+            assert rows == rows_from_encoding(5, encoding)
+            assert relation_class.admits(5, rows)
+            previous = encoding
+            count += 1
+        assert count == size
 
     def test_capacity_bound(self):
         with pytest.raises(CapacityError):
