@@ -33,7 +33,7 @@ from typing import Callable
 
 from .errors import InputError, NoWitnessError
 from .operators import Pairing, approx_tables
-from .properties import first_failure, property_row
+from .properties import property_row, relation_failures
 from .relations import BinaryRelation, RelationClass, Subset, check_input_size
 
 
@@ -128,9 +128,8 @@ def check_biconditional(
     check_input_size(n)
     lo, up = approx_tables(n, relation.rows, pairing)
     full = relation.universe.full_mask
-    property_holds = all(
-        first_failure(property_row(conjunct.row), lo, up, full) is None
-        for conjunct in conjuncts
+    property_holds = not relation_failures(
+        [property_row(conjunct.row) for conjunct in conjuncts], lo, up, full
     )
     class_holds = all(
         conjunct.relation_class.contains(relation) for conjunct in conjuncts

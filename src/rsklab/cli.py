@@ -25,10 +25,15 @@ from .tables import generate_table, report_to_json, report_to_markdown, verdict_
 
 def _emit(text: str, output: str | None) -> None:
     if output is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError as exc:
+            raise InputError(
+                f"stdout cannot encode the report as {exc.encoding}; use --output"
+            ) from None
         return
     try:
-        Path(output).write_text(text)
+        Path(output).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise InputError(f"{output}: {exc.strerror or exc}") from None
 

@@ -18,7 +18,7 @@ equal on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import InputError, RskError
 from .operators import Pairing, approx_tables
@@ -197,7 +197,3 @@ def enumerate_coverings(n: int, *, bound: int | None = None) -> Iterator[Coverin
         if union == full:
             yield Covering.from_masks(universe, masks)
 
-
-def partition_covering(universe: Universe, blocks: Sequence[Iterable[int]]) -> Covering:
-    """Convenience constructor for partition-shaped coverings."""
-    return Covering(universe, tuple(Subset.of(universe, b) for b in blocks))

@@ -9,17 +9,19 @@ Row 13 is stated here as ``u(X∩Y) ⊆ u(X) ∩ u(Y)``; the reverse inclusion
 fails already for equivalence relations, so only this direction is
 consistent with the all-ticked reference rows it has to reproduce.
 
-Rows 8-13 are certified algebraically in O(2^n) and scanned over all
-4^n (X, Y) pairs only when the certificate fails, so the scan remains
-the only witness finder. ``_joins`` holds exactly when ``u`` preserves
-binary unions (row 10): by induction on |X|, it suffices that
-``u(X) = u(X minus its least element) ∪ u({least element})`` for every
-nonempty X, and row 10 implies rows 9 and 13. Dually, ``_meets`` holds
-exactly when ``l`` preserves binary intersections (row 11), checked as
-``l(X) = l(X ∪ {b}) ∩ l(V minus {b})`` with b the least element outside
-X, and implies rows 8 and 12. Every relational operator is a complete
-join or meet morphism, fixed by its values on atoms (Jónsson-Tarski),
-so the scan never runs on tables this package builds.
+Every relation is decided by one step, ``relation_failures``. Every
+relational operator is a complete join morphism (upper) or meet morphism
+(lower), fixed by its values on atoms (Jónsson-Tarski). ``_morphisms``
+checks the binary form of that once per relation, in O(2^n):
+``u(X) = u(X minus a) ∪ u({a})`` and ``l(-X) = l(-(X minus a)) ∩ l(-{a})``
+for every nonempty X and its least element a. By induction on |X| this
+holds exactly when ``u`` preserves binary unions (row 10) and ``l``
+binary intersections (row 11), which imply rows 9 and 13 and rows 8 and
+12, so rows 8-13 all hold without scanning the 4^n (X, Y) pairs. On any
+other table, such as a hand-edited one, the check fails and the plain
+scan runs; the scan stays the only witness finder, so the check never
+changes a result. One-set rows are always scanned, and the check runs
+only when a two-set row is asked for.
 
 A refuted verdict always carries the canonically minimal counterexample:
 smallest universe size, then smallest relation encoding, then smallest X
@@ -45,41 +47,29 @@ from .relations import (
 )
 
 _Eval = Callable[[Sequence[int], Sequence[int], int, int, int], bool]
-_Certificate = Callable[[Sequence[int], Sequence[int], int], bool]
 
 
 @dataclass(frozen=True)
 class PropertyRow:
-    """One table row: an executable predicate over (lower, upper, X[, Y]).
-
-    ``certificate(lower, upper, full)``, when given, is a sufficient
-    condition for the row to hold on every assignment.
-    """
+    """One table row: an executable predicate over (lower, upper, X[, Y])."""
 
     index: int
     label: str
     two_set: bool
     evaluate: _Eval
-    certificate: _Certificate | None = None
 
 
 def _subset(a: int, b: int) -> bool:
     return not (a & ~b)
 
 
-def _joins(lo, up, full):
-    """u preserves binary unions (row 10), hence rows 9 and 13."""
+def _morphisms(lo, up, full):
+    """u preserves binary unions and l binary intersections (rows 10, 11)."""
     for x in range(1, full + 1):
-        if up[x] != up[x & (x - 1)] | up[x & -x]:
+        a = x & -x
+        if up[x] != up[x ^ a] | up[a]:
             return False
-    return True
-
-
-def _meets(lo, up, full):
-    """l preserves binary intersections (row 11), hence rows 8 and 12."""
-    for x in range(full):
-        b = ~x & (x + 1)
-        if lo[x] != lo[x | b] & lo[full ^ b]:
+        if lo[full ^ x] != lo[full ^ x ^ a] & lo[full ^ a]:
             return False
     return True
 
@@ -185,12 +175,12 @@ PROPERTY_ROWS: tuple[PropertyRow, ...] = (
     PropertyRow(5, "u(V) = V", False, _p05),
     PropertyRow(6, "l(X) ⊆ X", False, _p06),
     PropertyRow(7, "X ⊆ u(X)", False, _p07),
-    PropertyRow(8, "X ⊆ Y ⇒ l(X) ⊆ l(Y)", True, _p08, _meets),
-    PropertyRow(9, "X ⊆ Y ⇒ u(X) ⊆ u(Y)", True, _p09, _joins),
-    PropertyRow(10, "u(X∪Y) = u(X) ∪ u(Y)", True, _p10, _joins),
-    PropertyRow(11, "l(X∩Y) = l(X) ∩ l(Y)", True, _p11, _meets),
-    PropertyRow(12, "l(X∪Y) ⊇ l(X) ∪ l(Y)", True, _p12, _meets),
-    PropertyRow(13, "u(X∩Y) ⊆ u(X) ∩ u(Y)", True, _p13, _joins),
+    PropertyRow(8, "X ⊆ Y ⇒ l(X) ⊆ l(Y)", True, _p08),
+    PropertyRow(9, "X ⊆ Y ⇒ u(X) ⊆ u(Y)", True, _p09),
+    PropertyRow(10, "u(X∪Y) = u(X) ∪ u(Y)", True, _p10),
+    PropertyRow(11, "l(X∩Y) = l(X) ∩ l(Y)", True, _p11),
+    PropertyRow(12, "l(X∪Y) ⊇ l(X) ∪ l(Y)", True, _p12),
+    PropertyRow(13, "u(X∩Y) ⊆ u(X) ∩ u(Y)", True, _p13),
     PropertyRow(14, "l(l(X)) ⊆ l(X)", False, _p14),
     PropertyRow(15, "l(l(X)) ⊇ l(X)", False, _p15),
     PropertyRow(16, "u(l(X)) ⊆ l(X)", False, _p16),
@@ -233,23 +223,33 @@ def eval_property(
     return row.evaluate(lo, up, relation.universe.full_mask, x_set.bits, y_set.bits if y_set else 0)
 
 
-def first_failure(
-    row: PropertyRow, lo: Sequence[int], up: Sequence[int], full: int
-) -> tuple[int, int | None] | None:
-    """Minimal failing assignment (X asc, then Y asc), or None if the row holds."""
-    if row.certificate is not None and row.certificate(lo, up, full):
-        return None
-    evaluate = row.evaluate
-    if row.two_set:
+def relation_failures(
+    rows: Iterable[PropertyRow], lo: Sequence[int], up: Sequence[int], full: int
+) -> dict[int, tuple[int, int | None]]:
+    """Minimal failing assignment (X asc, then Y asc) of each failing row.
+
+    ``lo`` and ``up`` are one relation's tables; rows that hold are absent.
+    """
+    failures: dict[int, tuple[int, int | None]] = {}
+    morphisms = None
+    for row in rows:
+        evaluate = row.evaluate
+        if not row.two_set:
+            for x in range(full + 1):
+                if not evaluate(lo, up, full, x, 0):
+                    failures[row.index] = (x, None)
+                    break
+            continue
+        if morphisms is None:
+            morphisms = _morphisms(lo, up, full)
+        if morphisms:
+            continue
         for x in range(full + 1):
-            for y in range(full + 1):
-                if not evaluate(lo, up, full, x, y):
-                    return x, y
-        return None
-    for x in range(full + 1):
-        if not evaluate(lo, up, full, x, 0):
-            return x, None
-    return None
+            y = next((y for y in range(full + 1) if not evaluate(lo, up, full, x, y)), None)
+            if y is not None:
+                failures[row.index] = (x, y)
+                break
+    return failures
 
 
 @dataclass(frozen=True)
@@ -271,7 +271,7 @@ def check_relation(
     n = relation.universe.size
     check_input_size(n)
     lo, up = approx_tables(n, relation.rows, pairing)
-    failure = first_failure(row, lo, up, relation.universe.full_mask)
+    failure = relation_failures([row], lo, up, relation.universe.full_mask).get(index)
     if failure is None:
         return RelationCheck(index, pairing, True)
     x_bits, y_bits = failure
@@ -334,11 +334,9 @@ def scan_class_failures(
         full = (1 << n) - 1
         for encoding, rows in class_rows(n, relation_class):
             lo, up = approx_tables(n, rows, pairing)
-            for index in list(pending):
-                failure = first_failure(pending[index], lo, up, full)
-                if failure is not None:
-                    found[index] = (n, encoding, failure[0], failure[1])
-                    del pending[index]
+            for index, (x, y) in relation_failures(pending.values(), lo, up, full).items():
+                found[index] = (n, encoding, x, y)
+                del pending[index]
             if not pending:
                 break
     return found

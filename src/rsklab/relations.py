@@ -234,13 +234,6 @@ def _serial(n: int, rows: Sequence[int]) -> bool:
     return all(rows[x] for x in range(n))
 
 
-def flags_of_rows(n: int, rows: Sequence[int]) -> RelationFlags:
-    """Classify a row-encoded relation against all four base predicates."""
-    return RelationFlags(
-        _reflexive(n, rows), _symmetric(n, rows), _transitive(n, rows), _serial(n, rows)
-    )
-
-
 class RelationClass(Enum):
     """The nine relation classes used as table columns.
 
@@ -286,8 +279,8 @@ class RelationClass(Enum):
 
 
 # Class tag -> the base predicates the class conjoins, cheapest first. Keyed
-# by the tag string: membership is tested for every encoding of every scan,
-# and a string lookup avoids hashing enum members.
+# by the tag string; ``admits`` and ``class_rows`` look it up once per call,
+# so no per-encoding path depends on the key type.
 _CONJUNCTS: dict[str, tuple[Callable[[int, Sequence[int]], bool], ...]] = {
     "R": (),
     "Rr": (_reflexive,),
@@ -391,7 +384,10 @@ def build_relation(
 
 def classify(relation: BinaryRelation) -> RelationFlags:
     """Evaluate the reflexive/symmetric/transitive/serial predicates."""
-    return flags_of_rows(relation.universe.size, relation.rows)
+    n, rows = relation.universe.size, relation.rows
+    return RelationFlags(
+        _reflexive(n, rows), _symmetric(n, rows), _transitive(n, rows), _serial(n, rows)
+    )
 
 
 def intersect(relations: Sequence[BinaryRelation]) -> BinaryRelation:

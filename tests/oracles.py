@@ -2,9 +2,11 @@
 
 Everything here works on plain Python sets of pairs and frozensets of
 elements, deliberately sharing no code with the package's bitmask
-kernel, so agreement between the two is meaningful. The one exception is
-``reference_scan``, which takes the package's operator kernel and
-assignment search as given and replaces only the class enumeration.
+kernel, so agreement between the two is meaningful. The exceptions are
+``plain_failures``, which takes the package's row predicates as given and
+replaces only the decision step around them, and ``reference_scan``,
+which takes the package's operator kernel and decision step as given and
+replaces only the class enumeration.
 """
 
 from __future__ import annotations
@@ -110,15 +112,31 @@ def class_encodings(n: int, tag: str) -> list[int]:
     return [e for e in range(1 << n * n) if in_class(tag, flags[e])]
 
 
+def plain_failures(rows, lo, up, full):
+    """``relation_failures`` without the morphism check: every row scanned.
+
+    X ascending, then Y ascending; each failing row maps to its first
+    failing assignment, with Y None for one-set rows.
+    """
+    failures = {}
+    for row in rows:
+        ys = range(full + 1) if row.two_set else (None,)
+        for x, y in product(range(full + 1), ys):
+            if not row.evaluate(lo, up, full, x, y or 0):
+                failures[row.index] = (x, y)
+                break
+    return failures
+
+
 def reference_scan(pairing, tag: str, max_n: int, indices):
     """``scan_class_failures`` over the oracle-filtered class enumeration.
 
     Sizes, then encodings, ascending; each row is settled by the first
     member with a failing assignment, found by the package's
-    ``approx_tables`` and ``first_failure``.
+    ``approx_tables`` and ``relation_failures``.
     """
     from rsklab.operators import approx_tables
-    from rsklab.properties import first_failure, property_row
+    from rsklab.properties import property_row, relation_failures
 
     pending = {index: property_row(index) for index in indices}
     found = {}
@@ -129,11 +147,10 @@ def reference_scan(pairing, tag: str, max_n: int, indices):
         for encoding in class_encodings(n, tag):
             rows = [encoding >> n * x & full for x in range(n)]
             lo, up = approx_tables(n, rows, pairing)
-            for index in list(pending):
-                failure = first_failure(pending[index], lo, up, full)
-                if failure is not None:
-                    found[index] = (n, encoding, *failure)
-                    del pending[index]
+            failures = relation_failures(pending.values(), lo, up, full)
+            for index, failure in failures.items():
+                found[index] = (n, encoding, *failure)
+                del pending[index]
             if not pending:
                 break
     return found

@@ -1,6 +1,10 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +152,38 @@ class TestTable:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert str(target) in err
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+MARKDOWN_TABLE = ["table", "--pairing", "dual", "--max-n", "1", "--format", "markdown"]
+
+
+def run_process(args, **env):
+    """The CLI in a fresh interpreter, with ``env`` over the current environment."""
+    env = {**os.environ, "PYTHONPATH": SRC, **env}
+    return subprocess.run(
+        [sys.executable, "-m", "rsklab.cli", *args], capture_output=True, env=env
+    )
+
+
+class TestEncoding:
+    def test_output_file_is_utf8_under_the_c_locale(self, tmp_path):
+        target = tmp_path / "t.md"
+        done = run_process(
+            [*MARKDOWN_TABLE, "--output", str(target)],
+            LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+        )
+        assert done.returncode == 0 and done.stdout == b"" and done.stderr == b""
+        utf8 = run_process(MARKDOWN_TABLE, PYTHONIOENCODING="utf-8")
+        assert utf8.returncode == 0 and "✓" in utf8.stdout.decode("utf-8")
+        assert target.read_bytes() == utf8.stdout
+
+    def test_stdout_that_cannot_encode_is_one_line_exit_two(self):
+        done = run_process(MARKDOWN_TABLE, PYTHONIOENCODING="ascii")
+        assert done.returncode == 2 and done.stdout == b""
+        err = done.stderr.decode()
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "ascii" in err and "--output" in err
 
 
 class TestCheck:

@@ -19,11 +19,12 @@ from rsklab import (
     property_row,
     search_class,
 )
+from rsklab import properties
 from rsklab.operators import approx_tables
-from rsklab.properties import PROPERTY_ROWS, first_failure, scan_class_failures
+from rsklab.properties import PROPERTY_ROWS, relation_failures, scan_class_failures
 from rsklab.relations import rows_from_encoding
 
-from oracles import reference_scan
+from oracles import plain_failures, reference_scan
 
 U3 = Universe(3)
 CHAIN = build_relation(U3, [(0, 1), (1, 2)])
@@ -207,21 +208,70 @@ class TestScanAgainstReference:
         ) == reference_scan(pairing, "Rrst", 4, range(1, 24))
 
 
-def _scan_two_set(row, lo, up, full):
-    """Reference: the plain 4^n lexicographic scan with no certificate."""
-    for x in range(full + 1):
-        for y in range(full + 1):
-            if not row.evaluate(lo, up, full, x, y):
-                return x, y
-    return None
+PAIRINGS = [Pairing.DUAL_SUCC, Pairing.NONDUAL, Pairing.MIRROR_NONDUAL]
+
+
+@pytest.fixture
+def morphism_calls(monkeypatch):
+    """The ``full`` argument of every morphism check run while the test runs."""
+    calls = []
+    check = properties._morphisms
+
+    def counted(lo, up, full):
+        calls.append(full)
+        return check(lo, up, full)
+
+    monkeypatch.setattr(properties, "_morphisms", counted)
+    return calls
+
+
+class TestRelationFailures:
+    """One decision step per relation: the morphism check settles rows 8-13,
+    and the plain scan finds every witness."""
+
+    @pytest.mark.parametrize("pairing", PAIRINGS)
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_equals_the_plain_scan_on_every_relation(self, n, pairing):
+        full = (1 << n) - 1
+        for encoding in range(1 << n * n):
+            lo, up = approx_tables(n, rows_from_encoding(n, encoding), pairing)
+            assert relation_failures(PROPERTY_ROWS, lo, up, full) == plain_failures(
+                PROPERTY_ROWS, lo, up, full
+            )
+
+    def test_morphism_check_runs_once_per_call_with_two_set_rows(
+        self, morphism_calls
+    ):
+        lo, up = approx_tables(3, CHAIN.rows, Pairing.DUAL_SUCC)
+        relation_failures(PROPERTY_ROWS, lo, up, 0b111)
+        assert len(morphism_calls) == 1
+        # a failed check falls back to the scan without checking again
+        up = [0b00, 0b00, 0b00, 0b11]
+        rows = [property_row(index) for index in sorted(TWO_SET_ROWS)]
+        assert relation_failures(rows, up, up, 0b11)
+        assert len(morphism_calls) == 2
+
+    def test_one_set_rows_never_run_the_morphism_check(self, morphism_calls):
+        one_set = [row for row in PROPERTY_ROWS if not row.two_set]
+        lo, up = approx_tables(3, CHAIN.rows, Pairing.NONDUAL)
+        relation_failures(one_set, lo, up, 0b111)
+        # the shape of a counterexample cell on a one-set row
+        search_class(15, Pairing.NONDUAL, RelationClass.Rt, 3)
+        assert morphism_calls == []
 
 
 class TestTwoSetCertificates:
-    """Rows 8-13 are decided by an O(2^n) certificate; the 4^n scan runs only
-    when it fails, and must still return the minimal (X, Y)."""
+    """Rows 8-13 are decided by the O(2^n) morphism check; the 4^n scan runs
+    only when it fails, and must still return the minimal (X, Y)."""
 
-    def test_rows_8_to_13_carry_a_certificate(self):
-        certified = {row.index for row in PROPERTY_ROWS if row.certificate}
+    def test_rows_8_to_13_carry_a_certificate(self, morphism_calls):
+        lo, up = approx_tables(2, (0b01, 0b11), Pairing.DUAL_SUCC)
+        certified = set()
+        for row in PROPERTY_ROWS:
+            before = len(morphism_calls)
+            relation_failures([row], lo, up, 0b11)
+            if len(morphism_calls) > before:
+                certified.add(row.index)
         assert certified == TWO_SET_ROWS
 
     @settings(max_examples=300, deadline=None)
@@ -236,12 +286,12 @@ class TestTwoSetCertificates:
         encoding = data.draw(st.integers(0, (1 << (n * n)) - 1))
         lo, up = approx_tables(n, rows_from_encoding(n, encoding), pairing)
         full = (1 << n) - 1
+        # every relational operator passes, so the scan never runs here
+        assert properties._morphisms(lo, up, full)
         for index in sorted(TWO_SET_ROWS):
             row = property_row(index)
-            # every relational operator passes, so the scan never runs here
-            assert row.certificate(lo, up, full)
-            assert first_failure(row, lo, up, full) is None
-            assert _scan_two_set(row, lo, up, full) is None
+            assert relation_failures([row], lo, up, full) == {}
+            assert plain_failures([row], lo, up, full) == {}
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -263,22 +313,22 @@ class TestTwoSetCertificates:
             st.integers(0, n - 1)
         )
         rows = [property_row(index) for index in sorted(TWO_SET_ROWS)]
-        expected = [_scan_two_set(row, lo, up, full) for row in rows]
+        expected = [plain_failures([row], lo, up, full).get(row.index) for row in rows]
         assume(any(failure is not None for failure in expected))
         for row, failure in zip(rows, expected):
-            assert first_failure(row, lo, up, full) == failure
+            assert relation_failures([row], lo, up, full).get(row.index) == failure
             if failure is not None:
-                assert not row.certificate(lo, up, full)
+                assert not properties._morphisms(lo, up, full)
 
     def test_failing_row_reports_both_sets(self):
         # no relation fails rows 8-13 under any pairing, so the tables are
         # made by hand: u maps both singletons of {0, 1} to the empty set and
         # the whole universe to itself; monotone but not additive
         lo = up = [0b00, 0b00, 0b00, 0b11]
-        assert first_failure(property_row(10), lo, up, 0b11) == (0b01, 0b10)
-        assert first_failure(property_row(9), lo, up, 0b11) is None
-        assert first_failure(property_row(13), lo, up, 0b11) is None
+        assert relation_failures([property_row(10)], lo, up, 0b11) == {10: (0b01, 0b10)}
+        assert relation_failures([property_row(9)], lo, up, 0b11) == {}
+        assert relation_failures([property_row(13)], lo, up, 0b11) == {}
         # the dual table l(X) = -u(-X) is monotone but not multiplicative
         lo = [0b00, 0b11, 0b11, 0b11]
-        assert first_failure(property_row(11), lo, up, 0b11) == (0b01, 0b10)
-        assert first_failure(property_row(8), lo, up, 0b11) is None
+        assert relation_failures([property_row(11)], lo, up, 0b11) == {11: (0b01, 0b10)}
+        assert relation_failures([property_row(8)], lo, up, 0b11) == {}
