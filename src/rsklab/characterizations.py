@@ -21,20 +21,28 @@ the class side from the base predicates of the conjuncts' classes.
 property on a class-violating relation: the successor set of a
 reflexivity violator, the singleton of a missing loop, the successor set
 of the target of an asymmetric edge, and the singletons taken from a
-non-transitive triple. Violating tuples are chosen lexicographically
-smallest, so witnesses are deterministic.
+non-transitive triple. The violating tuples come from
+``RelationClass.violation``, the same base predicates that decide the
+class side, and are lexicographically smallest, so witnesses are
+deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import InputError, NoWitnessError
 from .operators import Pairing, approx_tables
 from .properties import property_row, relation_failures
-from .relations import BinaryRelation, RelationClass, Subset, check_input_size
+from .relations import (
+    BinaryRelation,
+    RelationClass,
+    Subset,
+    Violation,
+    check_input_size,
+)
 
 
 class Characterization(Enum):
@@ -61,26 +69,23 @@ class Characterization(Enum):
 
 @dataclass(frozen=True)
 class _Conjunct:
-    """A property row, the class it characterizes, and a refuting set's bits."""
+    """A property row, the class it characterizes, and a refuting set's bits.
+
+    ``witness`` maps the rows and the class's violating tuple to the bits.
+    """
 
     row: int
     relation_class: RelationClass
-    witness: Callable[[BinaryRelation], int]
+    witness: Callable[[Sequence[int], Violation], int]
 
 
 # The conjuncts, in the order the composite theorems state them; each
 # witness is the constructive set of the contrapositive argument.
-_REFL_LOWER = _Conjunct(6, RelationClass.Rr, lambda r: r.rows[_smallest_non_loop(r)])
-_REFL_UPPER = _Conjunct(7, RelationClass.Rr, lambda r: 1 << _smallest_non_loop(r))
-_SYM = _Conjunct(
-    23, RelationClass.Rs, lambda r: r.rows[_smallest_asymmetric_pair(r)[1]]
-)
-_TRANS_UPPER = _Conjunct(
-    18, RelationClass.Rt, lambda r: 1 << _smallest_open_triple(r)[2]
-)
-_TRANS_NONDUAL = _Conjunct(
-    21, RelationClass.Rt, lambda r: 1 << _smallest_open_triple(r)[0]
-)
+_REFL_LOWER = _Conjunct(6, RelationClass.Rr, lambda rows, v: rows[v[0]])
+_REFL_UPPER = _Conjunct(7, RelationClass.Rr, lambda rows, v: 1 << v[0])
+_SYM = _Conjunct(23, RelationClass.Rs, lambda rows, v: rows[v[1]])
+_TRANS_UPPER = _Conjunct(18, RelationClass.Rt, lambda rows, v: 1 << v[2])
+_TRANS_NONDUAL = _Conjunct(21, RelationClass.Rt, lambda rows, v: 1 << v[0])
 
 _BINDINGS: dict[Characterization, tuple[Pairing, tuple[_Conjunct, ...]]] = {
     Characterization.REFLEXIVE_LOWER: (Pairing.DUAL_SUCC, (_REFL_LOWER,)),
@@ -137,43 +142,17 @@ def check_biconditional(
     return ConsistencyRecord(c, property_holds, class_holds)
 
 
-def _smallest_non_loop(relation: BinaryRelation) -> int | None:
-    for x in range(relation.universe.size):
-        if not relation.rows[x] >> x & 1:
-            return x
-    return None
-
-
-def _smallest_asymmetric_pair(relation: BinaryRelation) -> tuple[int, int] | None:
-    n = relation.universe.size
-    for x in range(n):
-        for y in range(n):
-            if relation.rows[x] >> y & 1 and not relation.rows[y] >> x & 1:
-                return x, y
-    return None
-
-
-def _smallest_open_triple(relation: BinaryRelation) -> tuple[int, int, int] | None:
-    n = relation.universe.size
-    for x in range(n):
-        for y in range(n):
-            if not relation.rows[x] >> y & 1:
-                continue
-            for z in range(n):
-                if relation.rows[y] >> z & 1 and not relation.rows[x] >> z & 1:
-                    return x, y, z
-    return None
-
-
 def proof_witness(c: Characterization, relation: BinaryRelation) -> Subset:
     """A subset refuting the property side on a class-violating relation.
 
     Follows the constructive contrapositive arguments, applied to the
     first conjunct (in theorem order) whose class predicate fails.
     """
+    rows = relation.rows
     for conjunct in _BINDINGS[c][1]:
-        if not conjunct.relation_class.contains(relation):
-            return Subset(relation.universe, conjunct.witness(relation))
+        violation = conjunct.relation_class.violation(relation.universe.size, rows)
+        if violation is not None:
+            return Subset(relation.universe, conjunct.witness(rows, violation))
     raise NoWitnessError(
         f"relation satisfies the {c.value} class predicate; nothing to refute"
     )

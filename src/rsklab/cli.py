@@ -17,7 +17,7 @@ from .characterizations import Characterization, check_biconditional
 from .coverings import induced_relation, verify_reduction
 from .errors import InputError, RskError
 from .logic import deductive_closure, is_theory, largest_theory_within
-from .operators import Pairing, lower, upper
+from .operators import Pairing, lower, successor_set, upper
 from .properties import check_relation, search_class
 from .relations import RelationClass, classify
 from .tables import generate_table, report_to_json, report_to_markdown, verdict_to_obj
@@ -134,8 +134,7 @@ def _cmd_covering(args: argparse.Namespace) -> int:
     verified = verify_reduction(covering)
     universe = covering.universe
     neighborhoods = {
-        universe.label(x): [universe.label(y) for y in range(universe.size)
-                            if relation.rows[x] >> y & 1]
+        universe.label(x): rio.subset_to_labels(successor_set(relation, x))
         for x in range(universe.size)
     }
     _emit(

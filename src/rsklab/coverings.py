@@ -8,9 +8,10 @@ C_t lower/upper operators coincide with the non-dual relational pair.
 ``verify_reduction`` checks that coincidence subset by subset.
 
 A set is definable when it is the union of the neighbourhoods of its own
-points. The definable family is computed bottom-up as the union closure
-of the neighbourhoods (plus the empty union); the upper operator is
-computed both as the union of member neighbourhoods and as the
+points. The definable family is the image of the non-dual upper table of
+the induced relation: every union of neighbourhoods, the empty union
+included. The upper operator is computed both as the union of member
+neighbourhoods (by its own loop, not the operator kernel) and as the
 intersection of definable supersets, and the two forms are asserted
 equal on every call.
 """
@@ -75,27 +76,14 @@ def neighborhood(covering: Covering, x: int) -> Subset:
 
 
 def definable_masks(covering: Covering) -> list[int]:
-    """The definable sets, as the union closure of the neighbourhoods.
+    """The definable sets: the image of the non-dual upper table of N(x).
 
     Contains the empty union and the whole universe; sorted ascending.
     """
-    return _union_closure(neighborhood_masks(covering))
-
-
-def _union_closure(neigh: list[int]) -> list[int]:
-    distinct = set(neigh)
-    family = {0}
-    frontier = {0}
-    while frontier:
-        next_frontier = set()
-        for member in frontier:
-            for mask in distinct:
-                union = member | mask
-                if union not in family:
-                    family.add(union)
-                    next_frontier.add(union)
-        frontier = next_frontier
-    return sorted(family)
+    _, upper_table = approx_tables(
+        covering.universe.size, neighborhood_masks(covering), Pairing.NONDUAL
+    )
+    return sorted(set(upper_table))
 
 
 def definable_family(covering: Covering) -> list[Subset]:
@@ -152,7 +140,7 @@ def ct_upper(covering: Covering, x_set: Subset) -> Subset:
     if x_set.universe != covering.universe:
         raise InputError("set and covering belong to different universes")
     neigh = neighborhood_masks(covering)
-    _, upper_bits = _ct(neigh, x_set.bits, _union_closure(neigh))
+    _, upper_bits = _ct(neigh, x_set.bits, definable_masks(covering))
     return Subset(covering.universe, upper_bits)
 
 
@@ -166,8 +154,8 @@ def verify_reduction(covering: Covering, *, bound: int | None = None) -> bool:
     n = covering.universe.size
     check_capacity(n, bound)
     neigh = neighborhood_masks(covering)
-    definable = _union_closure(neigh)
     lower_table, upper_table = approx_tables(n, neigh, Pairing.NONDUAL)
+    definable = sorted(set(upper_table))
     return all(
         _ct(neigh, bits, definable) == (lower_table[bits], upper_table[bits])
         for bits in range(covering.universe.full_mask + 1)

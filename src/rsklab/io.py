@@ -9,8 +9,8 @@ Formats::
 
 A universe may alternatively be given as {"size": 3}, in which case the
 labels are "0".."2". Elements may be written as labels or bare indices.
-Unknown keys are rejected; malformed files fail with a line/field
-diagnostic.
+Every key shown is required and unknown keys are rejected; malformed
+files fail with a line/field diagnostic.
 """
 
 from __future__ import annotations
@@ -51,14 +51,18 @@ def _load_json(path: str | Path) -> Any:
         raise InputError(f"{path}: a number has too many digits") from None
 
 
-def _require_object(value: Any, context: str, allowed: set[str]) -> dict:
+def _require_object(value: Any, context: str, keys: set[str]) -> dict:
+    """The object itself, once its keys are exactly ``keys``."""
     if not isinstance(value, dict):
         raise InputError(f"{context}: expected a JSON object")
-    unknown = set(value) - allowed
+    unknown = set(value) - keys
     if unknown:
         raise InputError(
-            f"{context}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}"
+            f"{context}: unknown key(s) {sorted(unknown)}; allowed: {sorted(keys)}"
         )
+    missing = keys - set(value)
+    if missing:
+        raise InputError(f"{context}: missing key(s) {sorted(missing)}")
     return value
 
 
@@ -70,7 +74,7 @@ def parse_universe(value: Any, context: str) -> Universe:
         return Universe(len(value), tuple(value))
     if isinstance(value, dict):
         _require_object(value, context, {"size"})
-        size = value.get("size")
+        size = value["size"]
         if not isinstance(size, int) or isinstance(size, bool) or size < 0:
             raise InputError(f"{context}: size must be a nonnegative integer")
         check_input_size(size)
@@ -108,8 +112,6 @@ def _parse_pairs(universe: Universe, value: Any, context: str) -> list[tuple[int
 
 def load_relation(path: str | Path) -> BinaryRelation:
     obj = _require_object(_load_json(path), f"{path}", {"universe", "pairs"})
-    if "universe" not in obj or "pairs" not in obj:
-        raise InputError(f"{path}: a relation file needs 'universe' and 'pairs'")
     universe = parse_universe(obj["universe"], f"{path}: universe")
     pairs = _parse_pairs(universe, obj["pairs"], f"{path}: pairs")
     return build_relation(universe, pairs)
@@ -117,8 +119,6 @@ def load_relation(path: str | Path) -> BinaryRelation:
 
 def load_subset(path: str | Path, universe: Universe) -> Subset:
     obj = _require_object(_load_json(path), f"{path}", {"set"})
-    if "set" not in obj:
-        raise InputError(f"{path}: a set file needs 'set'")
     value = obj["set"]
     if not isinstance(value, list):
         raise InputError(f"{path}: set: expected a list of elements")
@@ -131,8 +131,6 @@ def load_subset(path: str | Path, universe: Universe) -> Subset:
 
 def load_covering(path: str | Path) -> Covering:
     obj = _require_object(_load_json(path), f"{path}", {"universe", "blocks"})
-    if "universe" not in obj or "blocks" not in obj:
-        raise InputError(f"{path}: a covering file needs 'universe' and 'blocks'")
     universe = parse_universe(obj["universe"], f"{path}: universe")
     value = obj["blocks"]
     if not isinstance(value, list):
@@ -151,8 +149,6 @@ def load_covering(path: str | Path) -> Covering:
 
 def load_frame(path: str | Path) -> ImplicationFrame:
     obj = _require_object(_load_json(path), f"{path}", {"propositions", "implies"})
-    if "propositions" not in obj or "implies" not in obj:
-        raise InputError(f"{path}: a frame file needs 'propositions' and 'implies'")
     universe = parse_universe(obj["propositions"], f"{path}: propositions")
     pairs = _parse_pairs(universe, obj["implies"], f"{path}: implies")
     return ImplicationFrame(universe, build_relation(universe, pairs))

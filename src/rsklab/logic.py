@@ -19,7 +19,8 @@ from .relations import (
     BinaryRelation,
     Subset,
     Universe,
-    transitive_closure_rows,
+    reflexive_closure,
+    transitive_closure,
 )
 
 
@@ -37,12 +38,8 @@ class ImplicationFrame:
     def __post_init__(self) -> None:
         if self.implies.universe != self.propositions:
             raise InputError("implication relation is over a different universe")
-        n = self.propositions.size
-        closed = transitive_closure_rows(
-            n, tuple(row | (1 << x) for x, row in enumerate(self.implies.rows))
-        )
         object.__setattr__(
-            self, "implies", BinaryRelation(self.propositions, closed)
+            self, "implies", transitive_closure(reflexive_closure(self.implies))
         )
 
 

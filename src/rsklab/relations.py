@@ -205,33 +205,44 @@ class RelationFlags:
         return self.reflexive and self.symmetric and self.transitive
 
 
-def _reflexive(n: int, rows: Sequence[int]) -> bool:
-    return all(rows[x] >> x & 1 for x in range(n))
+# Each base predicate returns its lexicographically least violating tuple,
+# or None when it holds: (x,) for a missing loop or an empty row, (x, y) for
+# xRy without yRx, (x, y, z) for xRy and yRz without xRz.
+Violation = tuple[int, ...]
 
 
-def _symmetric(n: int, rows: Sequence[int]) -> bool:
+def _reflexive(n: int, rows: Sequence[int]) -> Violation | None:
+    for x in range(n):
+        if not rows[x] >> x & 1:
+            return (x,)
+    return None
+
+
+def _symmetric(n: int, rows: Sequence[int]) -> Violation | None:
     for x in range(n):
         row = rows[x]
         for y in range(n):
             if row >> y & 1 and not rows[y] >> x & 1:
-                return False
-    return True
+                return x, y
+    return None
 
 
-def _transitive(n: int, rows: Sequence[int]) -> bool:
+def _transitive(n: int, rows: Sequence[int]) -> Violation | None:
     for x in range(n):
         row = rows[x]
-        reachable = 0
         for y in range(n):
             if row >> y & 1:
-                reachable |= rows[y]
-        if reachable & ~row:
-            return False
-    return True
+                missing = rows[y] & ~row
+                if missing:
+                    return x, y, (missing & -missing).bit_length() - 1
+    return None
 
 
-def _serial(n: int, rows: Sequence[int]) -> bool:
-    return all(rows[x] for x in range(n))
+def _serial(n: int, rows: Sequence[int]) -> Violation | None:
+    for x in range(n):
+        if not rows[x]:
+            return (x,)
+    return None
 
 
 class RelationClass(Enum):
@@ -250,9 +261,20 @@ class RelationClass(Enum):
     Rrst = "Rrst"
     Rser = "Rser"
 
+    def violation(self, n: int, rows: Sequence[int]) -> Violation | None:
+        """The least violating tuple of the class's first failing predicate.
+
+        Predicates are tried in ``_CONJUNCTS`` order; None when all hold.
+        """
+        for violator in _CONJUNCTS[self._value_]:
+            found = violator(n, rows)
+            if found is not None:
+                return found
+        return None
+
     def admits(self, n: int, rows: Sequence[int]) -> bool:
         """Whether a row-encoded relation satisfies every predicate of the class."""
-        return all(holds(n, rows) for holds in _CONJUNCTS[self._value_])
+        return self.violation(n, rows) is None
 
     def contains(self, relation: BinaryRelation) -> bool:
         return self.admits(relation.universe.size, relation.rows)
@@ -279,9 +301,9 @@ class RelationClass(Enum):
 
 
 # Class tag -> the base predicates the class conjoins, cheapest first. Keyed
-# by the tag string; ``admits`` and ``class_rows`` look it up once per call,
+# by the tag string; ``violation`` and ``class_rows`` look it up once per call,
 # so no per-encoding path depends on the key type.
-_CONJUNCTS: dict[str, tuple[Callable[[int, Sequence[int]], bool], ...]] = {
+_CONJUNCTS: dict[str, tuple[Callable[[int, Sequence[int]], Violation | None], ...]] = {
     "R": (),
     "Rr": (_reflexive,),
     "Rs": (_symmetric,),
@@ -385,9 +407,8 @@ def build_relation(
 def classify(relation: BinaryRelation) -> RelationFlags:
     """Evaluate the reflexive/symmetric/transitive/serial predicates."""
     n, rows = relation.universe.size, relation.rows
-    return RelationFlags(
-        _reflexive(n, rows), _symmetric(n, rows), _transitive(n, rows), _serial(n, rows)
-    )
+    violators = (_reflexive, _symmetric, _transitive, _serial)
+    return RelationFlags(*(violator(n, rows) is None for violator in violators))
 
 
 def intersect(relations: Sequence[BinaryRelation]) -> BinaryRelation:
@@ -404,8 +425,10 @@ def intersect(relations: Sequence[BinaryRelation]) -> BinaryRelation:
     return BinaryRelation(universe, tuple(rows))
 
 
-def transitive_closure_rows(n: int, rows: Sequence[int]) -> tuple[int, ...]:
-    out = list(rows)
+def transitive_closure(relation: BinaryRelation) -> BinaryRelation:
+    """Smallest transitive relation containing the input; idempotent."""
+    n = relation.universe.size
+    out = list(relation.rows)
     changed = True
     while changed:
         changed = False
@@ -418,15 +441,7 @@ def transitive_closure_rows(n: int, rows: Sequence[int]) -> tuple[int, ...]:
             if acc != row:
                 out[x] = acc
                 changed = True
-    return tuple(out)
-
-
-def transitive_closure(relation: BinaryRelation) -> BinaryRelation:
-    """Smallest transitive relation containing the input; idempotent."""
-    return BinaryRelation(
-        relation.universe,
-        transitive_closure_rows(relation.universe.size, relation.rows),
-    )
+    return BinaryRelation(relation.universe, tuple(out))
 
 
 def reflexive_closure(relation: BinaryRelation) -> BinaryRelation:

@@ -44,6 +44,37 @@ def classify_pairs(n: int, pairs: set[tuple[int, int]]):
     return reflexive, symmetric, transitive, serial
 
 
+def least_violations(n: int, pairs: set[tuple[int, int]]):
+    """(reflexive, symmetric, transitive, serial) least violators, or None each.
+
+    Literal quantifier loops in lexicographic order: (x,) without (x, x),
+    (x, y) in pairs without (y, x), (x, y, z) with (x, y) and (y, z) but
+    not (x, z), and (x,) with no (x, y) at all.
+    """
+    elements = range(n)
+    no_loop = next(((x,) for x in elements if (x, x) not in pairs), None)
+    asymmetric = next(
+        (
+            (x, y)
+            for x, y in product(elements, repeat=2)
+            if (x, y) in pairs and (y, x) not in pairs
+        ),
+        None,
+    )
+    open_triple = next(
+        (
+            (x, y, z)
+            for x, y, z in product(elements, repeat=3)
+            if (x, y) in pairs and (y, z) in pairs and (x, z) not in pairs
+        ),
+        None,
+    )
+    empty_row = next(
+        ((x,) for x in elements if not any((x, y) in pairs for y in elements)), None
+    )
+    return no_loop, asymmetric, open_triple, empty_row
+
+
 def successors(n: int, pairs: set[tuple[int, int]], x: int) -> frozenset[int]:
     return frozenset(y for y in range(n) if (x, y) in pairs)
 

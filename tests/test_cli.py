@@ -331,6 +331,49 @@ class TestErrorPaths:
         assert err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize(
+        "argv,content,message",
+        [
+            (
+                ["classify", "--relation"],
+                {"universe": ["a"]},
+                "missing key(s) ['pairs']",
+            ),
+            (
+                ["approx", "--pairing", "dual", "--op", "lower"]
+                + ["--relation", "RELATION", "--set"],
+                {},
+                "missing key(s) ['set']",
+            ),
+            (
+                ["covering", "--covering"],
+                {"blocks": [["a"]]},
+                "missing key(s) ['universe']",
+            ),
+            (
+                ["logic", "--set", "SET", "--frame"],
+                {"propositions": ["a"]},
+                "missing key(s) ['implies']",
+            ),
+            (
+                ["classify", "--relation"],
+                {"universe": {}, "pairs": []},
+                "universe: missing key(s) ['size']",
+            ),
+        ],
+        ids=["relation", "set", "covering", "frame", "universe-size"],
+    )
+    def test_missing_key_is_one_line_exit_two(
+        self, capsys, tmp_path, argv, content, message
+    ):
+        relation = write(tmp_path, "relation.json", {"universe": ["a"], "pairs": []})
+        subset = write(tmp_path, "set.json", {"set": ["a"]})
+        path = write(tmp_path, "bad.json", content)
+        argv = [{"RELATION": relation, "SET": subset}.get(a, a) for a in argv]
+        code, out, err = run(capsys, [*argv, path])
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["classify"],

@@ -1,7 +1,7 @@
 """Relation construction, classification, closures and enumeration."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rsklab import (
@@ -20,7 +20,14 @@ from rsklab import (
 )
 from rsklab.relations import class_rows, rows_from_encoding
 
-from oracles import class_encodings, classify_pairs, in_class, pairs_from_encoding
+from oracles import (
+    CLASS_FLAGS,
+    class_encodings,
+    classify_pairs,
+    in_class,
+    least_violations,
+    pairs_from_encoding,
+)
 
 
 @st.composite
@@ -242,6 +249,9 @@ class TestEnumeration:
             assert relation_class.admits(n, rows) == in_class(
                 relation_class.value, classify_pairs(n, pairs)
             ), relation_class
+            assert relation_class.admits(n, rows) == (
+                relation_class.violation(n, rows) is None
+            ), relation_class
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_class_rows_are_the_oracle_members_in_order(self, n):
@@ -294,6 +304,42 @@ class TestEnumeration:
     def test_explicit_bound_parameter(self):
         first = next(enumerate_relations(5, bound=5))
         assert first.encoding == 0 and first.universe.size == 5
+
+
+class TestViolations:
+    """``violation`` is the oracle's least violator of the first failing predicate.
+
+    For Rr, Rs, Rt and Rser that is the one predicate's least violator; the
+    composite classes try theirs in the order of ``CLASS_FLAGS``.
+    """
+
+    @staticmethod
+    def check(n, rows):
+        pairs = {(x, y) for x in range(n) for y in range(n) if rows[x] >> y & 1}
+        violations = least_violations(n, pairs)
+        for relation_class in RelationClass:
+            expected = next(
+                (
+                    violations[i]
+                    for i in CLASS_FLAGS[relation_class.value]
+                    if violations[i] is not None
+                ),
+                None,
+            )
+            assert relation_class.violation(n, rows) == expected, relation_class
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_every_relation_up_to_three(self, n):
+        for encoding in range(1 << n * n):
+            self.check(n, rows_from_encoding(n, encoding))
+
+    # The least open triple is (x, y, z) with y minimal before z, not the
+    # other way round; telling the two apart needs an x with two successors
+    # and two missing targets, so n >= 4: here (0, 1, 3), not (0, 2, 0).
+    @example((4, (0b0110, 0b1000, 0b0001, 0b0000)))
+    @given(row_relations())
+    def test_random_relations_up_to_five(self, relation):
+        self.check(*relation)
 
 
 class TestRelationClassTags:
