@@ -36,13 +36,7 @@ from typing import Callable, Sequence
 from .errors import InputError, NoWitnessError
 from .operators import Pairing, approx_tables
 from .properties import property_row, relation_failures
-from .relations import (
-    BinaryRelation,
-    RelationClass,
-    Subset,
-    Violation,
-    check_input_size,
-)
+from .relations import BinaryRelation, RelationClass, Subset, Violation
 
 
 class Characterization(Enum):
@@ -129,9 +123,7 @@ def check_biconditional(
 ) -> ConsistencyRecord:
     """Evaluate both sides of one biconditional independently."""
     pairing, conjuncts = _BINDINGS[c]
-    n = relation.universe.size
-    check_input_size(n)
-    lo, up = approx_tables(n, relation.rows, pairing)
+    lo, up = approx_tables(relation.universe.size, relation.rows, pairing)
     full = relation.universe.full_mask
     property_holds = not relation_failures(
         [property_row(conjunct.row) for conjunct in conjuncts], lo, up, full

@@ -8,12 +8,12 @@ C_t lower/upper operators coincide with the non-dual relational pair.
 ``verify_reduction`` checks that coincidence subset by subset.
 
 A set is definable when it is the union of the neighbourhoods of its own
-points. The definable family is the image of the non-dual upper table of
-the induced relation: every union of neighbourhoods, the empty union
-included. The upper operator is computed both as the union of member
-neighbourhoods (by its own loop, not the operator kernel) and as the
-intersection of definable supersets, and the two forms are asserted
-equal on every call.
+points. The definable family is every union of neighbourhoods, the empty
+union included: the image of the non-dual upper table of the induced
+relation, built from the distinct neighbourhoods alone. The upper
+operator is computed both as the union of member neighbourhoods (by its
+own loop, not the operator kernel) and as the intersection of definable
+supersets, and the two forms are asserted equal on every call.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import InputError, RskError
-from .operators import Pairing, approx_tables
+from .operators import Pairing, approx_tables, join_table
 from .relations import BinaryRelation, Subset, Universe, check_capacity
 
 
@@ -76,14 +76,12 @@ def neighborhood(covering: Covering, x: int) -> Subset:
 
 
 def definable_masks(covering: Covering) -> list[int]:
-    """The definable sets: the image of the non-dual upper table of N(x).
+    """The definable sets: every union of the distinct neighbourhoods N(x).
 
-    Contains the empty union and the whole universe; sorted ascending.
+    Contains the empty union and the whole universe; sorted ascending. A
+    covering with k distinct neighbourhoods costs a 2^k join table.
     """
-    _, upper_table = approx_tables(
-        covering.universe.size, neighborhood_masks(covering), Pairing.NONDUAL
-    )
-    return sorted(set(upper_table))
+    return sorted(set(join_table(sorted(set(neighborhood_masks(covering))))))
 
 
 def definable_family(covering: Covering) -> list[Subset]:
@@ -149,10 +147,10 @@ def induced_relation(covering: Covering) -> BinaryRelation:
     return BinaryRelation(covering.universe, tuple(neighborhood_masks(covering)))
 
 
-def verify_reduction(covering: Covering, *, bound: int | None = None) -> bool:
+def verify_reduction(covering: Covering) -> bool:
     """C_t operators equal the non-dual pair of the induced relation, all subsets."""
     n = covering.universe.size
-    check_capacity(n, bound)
+    check_capacity(n)
     neigh = neighborhood_masks(covering)
     lower_table, upper_table = approx_tables(n, neigh, Pairing.NONDUAL)
     definable = sorted(set(upper_table))
@@ -162,7 +160,7 @@ def verify_reduction(covering: Covering, *, bound: int | None = None) -> bool:
     )
 
 
-def enumerate_coverings(n: int, *, bound: int | None = None) -> Iterator[Covering]:
+def enumerate_coverings(n: int) -> Iterator[Covering]:
     """Every covering of an n-element universe with distinct nonempty blocks.
 
     Families are ordered by their encoding: bit ``b-1`` of the encoding
@@ -171,9 +169,7 @@ def enumerate_coverings(n: int, *, bound: int | None = None) -> Iterator[Coverin
     any neighbourhood, so distinct-block families exhaust the covering
     behaviours.
     """
-    if n < 0:
-        raise InputError(f"universe size must be nonnegative, got {n}")
-    check_capacity(n, bound)
+    check_capacity(n)
     universe = Universe(n)
     full = universe.full_mask
     block_count = full  # nonempty masks 1..full

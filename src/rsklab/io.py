@@ -110,6 +110,16 @@ def _parse_pairs(universe: Universe, value: Any, context: str) -> list[tuple[int
     return pairs
 
 
+def _parse_elements(universe: Universe, value: Any, context: str) -> Subset:
+    if not isinstance(value, list):
+        raise InputError(f"{context}: expected a list of elements")
+    members = [
+        resolve_element(universe, token, f"{context}[{i}]")
+        for i, token in enumerate(value)
+    ]
+    return Subset.of(universe, members)
+
+
 def load_relation(path: str | Path) -> BinaryRelation:
     obj = _require_object(_load_json(path), f"{path}", {"universe", "pairs"})
     universe = parse_universe(obj["universe"], f"{path}: universe")
@@ -119,14 +129,7 @@ def load_relation(path: str | Path) -> BinaryRelation:
 
 def load_subset(path: str | Path, universe: Universe) -> Subset:
     obj = _require_object(_load_json(path), f"{path}", {"set"})
-    value = obj["set"]
-    if not isinstance(value, list):
-        raise InputError(f"{path}: set: expected a list of elements")
-    members = [
-        resolve_element(universe, token, f"{path}: set[{i}]")
-        for i, token in enumerate(value)
-    ]
-    return Subset.of(universe, members)
+    return _parse_elements(universe, obj["set"], f"{path}: set")
 
 
 def load_covering(path: str | Path) -> Covering:
@@ -135,16 +138,11 @@ def load_covering(path: str | Path) -> Covering:
     value = obj["blocks"]
     if not isinstance(value, list):
         raise InputError(f"{path}: blocks: expected a list of blocks")
-    blocks = []
-    for i, entry in enumerate(value):
-        if not isinstance(entry, list):
-            raise InputError(f"{path}: blocks[{i}]: expected a list of elements")
-        members = [
-            resolve_element(universe, token, f"{path}: blocks[{i}][{j}]")
-            for j, token in enumerate(entry)
-        ]
-        blocks.append(Subset.of(universe, members))
-    return Covering(universe, tuple(blocks))
+    blocks = tuple(
+        _parse_elements(universe, entry, f"{path}: blocks[{i}]")
+        for i, entry in enumerate(value)
+    )
+    return Covering(universe, blocks)
 
 
 def load_frame(path: str | Path) -> ImplicationFrame:

@@ -32,7 +32,13 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import InputError, PreconditionError
-from .relations import BinaryRelation, RelationClass, Subset, transpose_rows
+from .relations import (
+    BinaryRelation,
+    RelationClass,
+    Subset,
+    check_input_size,
+    transpose_rows,
+)
 
 
 class Pairing(Enum):
@@ -104,9 +110,9 @@ def _atom_source(
     return atoms, (False, False)
 
 
-def _join_table(atoms: Sequence[int]) -> list[int]:
-    # table[X] is the union of atoms[y] over y in X; bit i doubles the table
-    table = [0]
+def join_table(atoms: Sequence[int]) -> list[int]:
+    """Table by mask X of the union of ``atoms[y]`` over the bits y of X."""
+    table = [0]  # bit i doubles the table
     for atom in atoms:
         table += [image | atom for image in table]
     return table
@@ -115,10 +121,15 @@ def _join_table(atoms: Sequence[int]) -> list[int]:
 def approx_tables(
     n: int, rows: Sequence[int], pairing: Pairing = Pairing.DUAL_SUCC
 ) -> tuple[list[int], list[int]]:
-    """(lower, upper) of one relation under one pairing, as tables by mask."""
+    """(lower, upper) of one relation under one pairing, as tables by mask.
+
+    The only code that tabulates all 2^n subsets, so it holds the per-input
+    size gate.
+    """
+    check_input_size(n)
     source, reads = _atom_source(pairing, n, rows)
     joins = {
-        transposed: _join_table(transpose_rows(source) if transposed else source)
+        transposed: join_table(transpose_rows(source) if transposed else source)
         for transposed in set(reads)
     }
     full = (1 << n) - 1

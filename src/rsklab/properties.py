@@ -42,7 +42,6 @@ from .relations import (
     Subset,
     Universe,
     check_capacity,
-    check_input_size,
     class_rows,
 )
 
@@ -217,9 +216,7 @@ def eval_property(
         raise InputError("set and relation belong to different universes")
     if y_set is not None and y_set.universe != relation.universe:
         raise InputError("set and relation belong to different universes")
-    n = relation.universe.size
-    check_input_size(n)
-    lo, up = approx_tables(n, relation.rows, pairing)
+    lo, up = approx_tables(relation.universe.size, relation.rows, pairing)
     return row.evaluate(lo, up, relation.universe.full_mask, x_set.bits, y_set.bits if y_set else 0)
 
 
@@ -268,9 +265,7 @@ def check_relation(
 ) -> RelationCheck:
     """Quantify one row over every subset assignment of one relation."""
     row = property_row(index)
-    n = relation.universe.size
-    check_input_size(n)
-    lo, up = approx_tables(n, relation.rows, pairing)
+    lo, up = approx_tables(relation.universe.size, relation.rows, pairing)
     failure = relation_failures([row], lo, up, relation.universe.full_mask).get(index)
     if failure is None:
         return RelationCheck(index, pairing, True)
@@ -375,11 +370,7 @@ def search_class(
     pairing: Pairing,
     relation_class: RelationClass,
     max_n: int,
-    *,
-    bound: int | None = None,
 ) -> PropertyVerdict:
     """Search one table cell: refute with a minimal witness or verify up to max_n."""
-    if max_n < 0:
-        raise InputError(f"max_n must be nonnegative, got {max_n}")
-    check_capacity(max_n, bound)
+    check_capacity(max_n)
     return class_verdicts(pairing, relation_class, max_n, [index])[0]

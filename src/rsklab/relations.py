@@ -45,16 +45,20 @@ def capacity_bound() -> int:
     return value
 
 
-def check_capacity(n: int, bound: int | None) -> None:
-    limit = capacity_bound() if bound is None else bound
+def check_capacity(n: int) -> None:
+    """The one size gate of the exhaustive operations: 0 <= n <= the bound."""
+    if n < 0:
+        raise InputError(f"universe size must be nonnegative, got {n}")
+    limit = capacity_bound()
     if n > limit:
         raise CapacityError(
             f"universe size {n} exceeds the capacity bound {limit}"
-            f" (raise {_CAPACITY_ENV} or pass an explicit bound)"
+            f" (raise {_CAPACITY_ENV})"
         )
 
 
 def check_input_size(n: int) -> None:
+    """The one size gate of per-input work, which tabulates all 2^n subsets."""
     if n > MAX_INPUT_SIZE:
         raise CapacityError(
             f"universe size {n} exceeds the per-input limit {MAX_INPUT_SIZE}"
@@ -532,17 +536,13 @@ def class_rows(
 def enumerate_relations(
     n: int,
     relation_class: RelationClass = RelationClass.R,
-    *,
-    bound: int | None = None,
 ) -> Iterator[BinaryRelation]:
     """Yield every n-element relation of the class, ascending by encoding.
 
     Equals filtering the full enumeration by class membership, element for
     element; that identity is part of the contract and is tested.
     """
-    if n < 0:
-        raise InputError(f"universe size must be nonnegative, got {n}")
-    check_capacity(n, bound)
+    check_capacity(n)
     universe = Universe(n)
     for _, rows in class_rows(n, relation_class):
         yield BinaryRelation(universe, rows)

@@ -119,16 +119,13 @@ def generate_table(
     max_n: int,
     *,
     workers: int = 1,
-    bound: int | None = None,
 ) -> TableReport:
     """Populate the full 23x9 table for the dual or non-dual pairing."""
     if pairing not in (Pairing.DUAL_SUCC, Pairing.NONDUAL):
         raise InputError("tables are generated for the dual and nondual pairings")
-    if max_n < 0:
-        raise InputError(f"max_n must be nonnegative, got {max_n}")
     if workers < 1:
         raise InputError(f"workers must be at least 1, got {workers}")
-    check_capacity(max_n, bound)
+    check_capacity(max_n)
     jobs = (repeat(pairing), TABLE_CLASSES, repeat(max_n))
     if workers > 1:
         # one job per column; a larger pool would only start idle processes

@@ -285,7 +285,7 @@ def _covering_problems(covering: Covering, ticked_rows) -> list[str]:
     problems = []
     if not classify(induced_relation(covering)).preorder:
         problems.append(f"induced relation not a pre-order for {covering}")
-    if not verify_reduction(covering, bound=covering.universe.size):
+    if not verify_reduction(covering):
         problems.append(f"reduction fails for {covering}")
     universe = covering.universe
     full = universe.full_mask
@@ -303,7 +303,8 @@ def _covering_problems(covering: Covering, ticked_rows) -> list[str]:
     return problems
 
 
-def test_criterion_5_covering_reduction():
+def test_criterion_5_covering_reduction(monkeypatch):
+    monkeypatch.setenv("RSK_MAX_N", "5")
     started = time.perf_counter()
     rrt = TABLE_CLASSES.index(RelationClass.Rrt)
     ticked = [row for row in range(1, 24) if REFERENCE_NONDUAL[row][rrt] == "+"]

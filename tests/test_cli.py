@@ -143,6 +143,11 @@ class TestTable:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_negative_max_n_is_one_line_exit_two(self, capsys):
+        code, out, err = run(capsys, ["table", "--pairing", "dual", "--max-n", "-1"])
+        assert code == 2 and out == ""
+        assert err == "error: universe size must be nonnegative, got -1\n"
+
     def test_unwritable_output_is_exit_two(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"
         code, out, err = run(
@@ -184,6 +189,59 @@ class TestEncoding:
         err = done.stderr.decode()
         assert err.startswith("error:") and err.count("\n") == 1
         assert "ascii" in err and "--output" in err
+
+    def test_closed_stdout_is_one_line_exit_two(self):
+        env = {**os.environ, "PYTHONPATH": SRC}
+        args = ["table", "--pairing", "dual", "--max-n", "3"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rsklab.cli", *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert err == "error: stdout closed before the report was written\n"
+
+
+class TestOutput:
+    """Every subcommand, under both names of characterize, takes ``--output``."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--relation", "RELATION"],
+            ["approx", "--pairing", "dual", "--op", "lower"]
+            + ["--relation", "RELATION", "--set", "SET"],
+            ["table", "--pairing", "dual", "--max-n", "1"],
+            ["check", "--row", "1", "--pairing", "dual", "--relation", "RELATION"],
+            ["counterexample", "--row", "1", "--pairing", "dual"]
+            + ["--class", "Rrst", "--max-n", "1"],
+            ["characterize", "--id", "preorder", "--relation", "RELATION"],
+            ["check-characterization", "--id", "preorder", "--relation", "RELATION"],
+            ["covering", "--covering", "COVERING"],
+            ["logic", "--frame", "FRAME", "--set", "SET"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_report_goes_to_the_output_file(self, capsys, tmp_path, chain_file, argv):
+        files = {
+            "RELATION": chain_file,
+            "SET": write(tmp_path, "set.json", {"set": [0]}),
+            "COVERING": write(
+                tmp_path, "covering.json", {"universe": {"size": 2}, "blocks": [[0, 1]]}
+            ),
+            "FRAME": write(
+                tmp_path, "frame.json", {"propositions": ["p", "q"], "implies": []}
+            ),
+        }
+        target = tmp_path / "report.json"
+        argv = [files.get(a, a) for a in argv]
+        code, out, err = run(capsys, [*argv, "--output", str(target)])
+        assert code in (0, 1) and out == "" and err == ""
+        assert isinstance(json.loads(target.read_text(encoding="utf-8")), dict)
 
 
 class TestCheck:
@@ -369,6 +427,33 @@ class TestErrorPaths:
         subset = write(tmp_path, "set.json", {"set": ["a"]})
         path = write(tmp_path, "bad.json", content)
         argv = [{"RELATION": relation, "SET": subset}.get(a, a) for a in argv]
+        code, out, err = run(capsys, [*argv, path])
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv,content,message",
+        [
+            (
+                ["approx", "--pairing", "dual", "--op", "lower"]
+                + ["--relation", "RELATION", "--set"],
+                {"set": "a"},
+                "set: expected a list of elements",
+            ),
+            (
+                ["covering", "--covering"],
+                {"universe": ["a"], "blocks": ["a"]},
+                "blocks[0]: expected a list of elements",
+            ),
+        ],
+        ids=["set", "covering-block"],
+    )
+    def test_element_list_that_is_not_a_list_is_one_line_exit_two(
+        self, capsys, tmp_path, argv, content, message
+    ):
+        relation = write(tmp_path, "relation.json", {"universe": ["a"], "pairs": []})
+        path = write(tmp_path, "bad.json", content)
+        argv = [relation if a == "RELATION" else a for a in argv]
         code, out, err = run(capsys, [*argv, path])
         assert code == 2 and out == ""
         assert err == f"error: {path}: {message}\n"

@@ -139,15 +139,18 @@ class TestDefinableFamily:
                     assert a | b in bits
 
     def test_family_equals_pointwise_definability_filter(self):
-        for n in (1, 2, 3):
-            u = Universe(n)
-            for covering in enumerate_coverings(n):
-                family = {d.bits for d in definable_family(covering)}
-                pointwise = {
-                    m for m in range(u.full_mask + 1)
-                    if is_definable(covering, Subset(u, m))
-                }
-                assert family == pointwise
+        # two overlapping blocks on 8 elements: three distinct neighbourhoods
+        u8 = Universe(8)
+        overlapping = Covering.from_masks(u8, [0b00111111, 0b11111100])
+        coverings = [c for n in (1, 2, 3) for c in enumerate_coverings(n)]
+        for covering in [*coverings, overlapping]:
+            u = covering.universe
+            family = {d.bits for d in definable_family(covering)}
+            pointwise = {
+                m for m in range(u.full_mask + 1)
+                if is_definable(covering, Subset(u, m))
+            }
+            assert family == pointwise
 
 
 class TestInducedRelation:
@@ -197,18 +200,19 @@ class TestReduction:
                 covering = Covering(u, tuple(Subset.of(u, b) for b in blocks))
                 assert verify_reduction(covering)
 
-    def test_seeded_random_coverings_at_five(self):
+    def test_seeded_random_coverings_at_five(self, monkeypatch):
+        monkeypatch.setenv("RSK_MAX_N", "5")
         rng = random.Random(515253)
         for _ in range(40):
             covering = random_covering(rng, 5)
             assert classify(induced_relation(covering)).preorder
-            assert verify_reduction(covering, bound=5)
+            assert verify_reduction(covering)
 
     @given(st.integers(1, 4), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_reduction_holds_on_random_coverings(self, n, rng):
         covering = random_covering(rng, n)
-        assert verify_reduction(covering, bound=4)
+        assert verify_reduction(covering)
 
 
 class TestPropertyInheritance:

@@ -7,16 +7,22 @@ from hypothesis import strategies as st
 from rsklab import (
     BinaryRelation,
     CapacityError,
+    Covering,
     InputError,
+    Pairing,
     RelationClass,
     Subset,
     Universe,
     build_relation,
     classify,
+    enumerate_coverings,
     enumerate_relations,
+    generate_table,
     intersect,
     reflexive_closure,
+    search_class,
     transitive_closure,
+    verify_reduction,
 )
 from rsklab.relations import class_rows, rows_from_encoding
 
@@ -32,9 +38,10 @@ from oracles import (
 
 @st.composite
 def row_relations(draw, max_n=5):
+    # uniform rows; st.integers favours small, sparse ones
     n = draw(st.integers(0, max_n))
-    rows = tuple(draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
-    return n, rows
+    rng = draw(st.randoms(use_true_random=False))
+    return n, tuple(rng.getrandbits(n) for _ in range(n))
 
 
 def rel(n, pairs):
@@ -301,9 +308,32 @@ class TestEnumeration:
         monkeypatch.setenv("RSK_MAX_N", "5")
         assert next(enumerate_relations(5)).universe.size == 5
 
-    def test_explicit_bound_parameter(self):
-        first = next(enumerate_relations(5, bound=5))
-        assert first.encoding == 0 and first.universe.size == 5
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda n: next(enumerate_relations(n)),
+            lambda n: search_class(1, Pairing.DUAL_SUCC, RelationClass.Rrst, n),
+            lambda n: generate_table(Pairing.DUAL_SUCC, n),
+            lambda n: verify_reduction(
+                Covering.from_masks(Universe(n), [(1 << n) - 1])
+            ),
+            lambda n: next(enumerate_coverings(n)),
+        ],
+        ids=[
+            "enumerate_relations",
+            "search_class",
+            "generate_table",
+            "verify_reduction",
+            "enumerate_coverings",
+        ],
+    )
+    def test_each_exhaustive_entry_point_is_gated(self, monkeypatch, run):
+        with pytest.raises(InputError, match="must be nonnegative, got -1"):
+            run(-1)
+        monkeypatch.setenv("RSK_MAX_N", "2")
+        with pytest.raises(CapacityError):
+            run(3)
+        run(2)
 
 
 class TestViolations:
