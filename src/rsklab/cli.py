@@ -1,15 +1,18 @@
 """Command-line front end.
 
 Every subcommand is a thin wrapper over the library: parse files, call
-one operation, return the report and the exit status. ``main`` alone
-serializes the report and writes it, to stdout or ``--output``. Exit
-status 0 on success/consistent/verified, 1 when a check is refuted or
-inconsistent (the report is still printed), 2 on input errors.
+one operation, return the report and the exit status. Each option and
+each subcommand is declared once, in ``_OPTIONS`` and ``_COMMANDS``, and
+the parser is built once per process. ``main`` alone serializes the
+report and writes it, to stdout or ``--output``. Exit status 0 on
+success/consistent/verified, 1 when a check is refuted or inconsistent
+(the report is still printed), 2 on input errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -37,13 +40,16 @@ def _emit(text: str, output: str | None) -> None:
             raise InputError(
                 f"stdout cannot encode the report as {exc.encoding}; use --output"
             ) from None
-        except BrokenPipeError:
-            # the reader has gone; send what is still buffered to devnull so
-            # the interpreter's exit flush stays quiet
+        except OSError as exc:
+            # a closed pipe, a full disk: send what is still buffered to
+            # devnull so the interpreter's exit flush stays quiet
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-            raise InputError("stdout closed before the report was written") from None
+            message = f"stdout: {exc.strerror or exc}"
+            if isinstance(exc, BrokenPipeError):
+                message = "stdout closed before the report was written"
+            raise InputError(message) from None
         return
     try:
         Path(output).write_text(text, encoding="utf-8")
@@ -146,7 +152,49 @@ def _cmd_logic(args: argparse.Namespace) -> _Result:
     }, 0
 
 
+# The add_argument keywords of each option, declared once. An option is
+# required unless it has a default.
+_OPTIONS: dict[str, dict] = {
+    "--relation": {},
+    "--pairing": {},
+    "--set": {},
+    "--row": {"type": int},
+    "--max-n": {"type": int, "default": 3},
+    "--op": {"choices": ["lower", "upper"]},
+    "--format": {"choices": ["json", "markdown"], "default": "json"},
+    "--workers": {"type": int, "default": 1},
+    "--class": {"dest": "relation_class"},
+    "--id": {},
+    "--covering": {},
+    "--frame": {},
+}
+
+# Each subcommand: name, aliases, handler, help text, options in usage order.
+_COMMANDS = (
+    ("classify", [], _cmd_classify, "reflexive/symmetric/transitive/serial flags",
+     ["--relation"]),
+    ("approx", [], _cmd_approx, "apply a lower or upper approximation",
+     ["--pairing", "--op", "--relation", "--set"]),
+    ("table", [], _cmd_table, "generate a full 23x9 verdict table",
+     ["--pairing", "--max-n", "--format", "--workers"]),
+    ("check", [], _cmd_check, "check one property row on one relation",
+     ["--row", "--pairing", "--relation"]),
+    ("counterexample", [], _cmd_counterexample,
+     "search a relation class for a property counterexample",
+     ["--row", "--pairing", "--class", "--max-n"]),
+    ("characterize", ["check-characterization"], _cmd_characterize,
+     "evaluate both sides of a characterization biconditional",
+     ["--id", "--relation"]),
+    ("covering", [], _cmd_covering, "verify the covering-to-pre-order reduction",
+     ["--covering"]),
+    ("logic", [], _cmd_logic, "deductive closure and largest inner theory",
+     ["--frame", "--set"]),
+)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="rsklab",
         description="Exhaustive verification lab for rough-set approximation operators.",
@@ -154,73 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", help="write the report here instead of stdout")
-
-    p = sub.add_parser(
-        "classify", parents=[output], help="reflexive/symmetric/transitive/serial flags"
-    )
-    p.add_argument("--relation", required=True)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser(
-        "approx", parents=[output], help="apply a lower or upper approximation"
-    )
-    p.add_argument("--pairing", required=True)
-    p.add_argument("--op", required=True, choices=["lower", "upper"])
-    p.add_argument("--relation", required=True)
-    p.add_argument("--set", required=True)
-    p.set_defaults(func=_cmd_approx)
-
-    p = sub.add_parser(
-        "table", parents=[output], help="generate a full 23x9 verdict table"
-    )
-    p.add_argument("--pairing", required=True)
-    p.add_argument("--max-n", type=int, default=3)
-    p.add_argument("--format", choices=["json", "markdown"], default="json")
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser(
-        "check", parents=[output], help="check one property row on one relation"
-    )
-    p.add_argument("--row", type=int, required=True)
-    p.add_argument("--pairing", required=True)
-    p.add_argument("--relation", required=True)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser(
-        "counterexample",
-        parents=[output],
-        help="search a relation class for a property counterexample",
-    )
-    p.add_argument("--row", type=int, required=True)
-    p.add_argument("--pairing", required=True)
-    p.add_argument("--class", dest="relation_class", required=True)
-    p.add_argument("--max-n", type=int, default=3)
-    p.set_defaults(func=_cmd_counterexample)
-
-    for name in ("characterize", "check-characterization"):
-        p = sub.add_parser(
-            name,
-            parents=[output],
-            help="evaluate both sides of a characterization biconditional",
-        )
-        p.add_argument("--id", required=True)
-        p.add_argument("--relation", required=True)
-        p.set_defaults(func=_cmd_characterize)
-
-    p = sub.add_parser(
-        "covering", parents=[output], help="verify the covering-to-pre-order reduction"
-    )
-    p.add_argument("--covering", required=True)
-    p.set_defaults(func=_cmd_covering)
-
-    p = sub.add_parser(
-        "logic", parents=[output], help="deductive closure and largest inner theory"
-    )
-    p.add_argument("--frame", required=True)
-    p.add_argument("--set", required=True)
-    p.set_defaults(func=_cmd_logic)
-
+    for name, aliases, func, help_text, options in _COMMANDS:
+        p = sub.add_parser(name, aliases=aliases, parents=[output], help=help_text)
+        for flag in options:
+            kwargs = _OPTIONS[flag]
+            p.add_argument(flag, required="default" not in kwargs, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -22,8 +22,8 @@ dual ``l(X) = V minus u'(V minus X)`` of an upper operator ``u'``
 place that decides which atoms each pairing reads. :func:`approx_tables`
 turns them into mask-to-mask lookup tables with one OR per mask, for the
 exhaustive searches elsewhere in the package; :func:`lower` and
-:func:`upper` apply the same atoms to a single set without tabulating,
-in O(n) for the three relational pairings.
+:func:`upper` join the same atoms for a single set without tabulating,
+in O(n), or O(n²) where the atoms are transposed (n ≤ 16 for file input).
 """
 
 from __future__ import annotations
@@ -167,21 +167,18 @@ def _approximate(
     pairing: Pairing, relation: BinaryRelation, x_set: Subset, side: int
 ) -> Subset:
     # side 0 is the lower operator, the dual of the join of its atoms, side 1
-    # the upper one. A join of transposed atoms is read off the rows (x is in
-    # it iff rows[x] meets the set), so no transpose is built: O(n) per call.
+    # the upper one; the join is join_table's rule applied to one mask.
     if x_set.universe != relation.universe:
         raise InputError("set and relation belong to different universes")
     n = relation.universe.size
     full = relation.universe.full_mask
     source, reads = _atom_source(pairing, n, relation.rows)
+    atoms = transpose_rows(source) if reads[side] else source
     bits = x_set.bits if side else full ^ x_set.bits
     image = 0
-    for x in range(n):
-        if reads[side]:
-            if source[x] & bits:
-                image |= 1 << x
-        elif bits >> x & 1:
-            image |= source[x]
+    for y in range(n):
+        if bits >> y & 1:
+            image |= atoms[y]
     return Subset(relation.universe, image if side else full ^ image)
 
 

@@ -2,13 +2,14 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from rsklab.cli import main
+from rsklab.cli import build_parser, main
 
 
 def write(tmp_path, name, obj):
@@ -204,6 +205,34 @@ class TestEncoding:
         proc.stderr.close()
         assert proc.wait() == 2
         assert err == "error: stdout closed before the report was written\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stdout_is_one_line_exit_two(self):
+        relation = Path(__file__).parent / "golden" / "cli" / "chain.json"
+        env = {**os.environ, "PYTHONPATH": SRC}
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "rsklab.cli", "classify", "--relation",
+                 str(relation)],
+                stdout=full, stderr=subprocess.PIPE, env=env,
+            )
+        err = done.stderr.decode()
+        assert done.returncode == 2
+        assert err.startswith("error: stdout:") and err.count("\n") == 1
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_command_lines_parse():
+    """Every ``rsklab`` line of README's "Command line" block parses."""
+    block = README.read_text(encoding="utf-8").split("## Command line")[1]
+    block = block.split("```sh\n")[1].split("```")[0]
+    lines = [line for line in block.splitlines() if line.startswith("rsklab ")]
+    assert len(lines) == 9
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert build_parser().parse_args(argv).command == argv[0]
 
 
 class TestOutput:

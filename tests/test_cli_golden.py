@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from rsklab.cli import main
+from rsklab.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
 
@@ -72,6 +72,9 @@ CASES = {
         "logic", "--frame", "{dir}/frame.json", "--set", "{dir}/frame_set.json",
     ],
     "classify": ["classify", "--relation", "{dir}/chain.json"],
+    "table_markdown": [
+        "table", "--pairing", "nondual", "--max-n", "2", "--format", "markdown",
+    ],
 }
 
 
@@ -79,10 +82,24 @@ def argv_of(name: str) -> list[str]:
     return [arg.replace("{dir}", str(GOLDEN)) for arg in CASES[name]]
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_stdout_and_exit_code_are_pinned(name, capsys):
+def assert_pinned(name, capsys):
     code = main(argv_of(name))
     captured = capsys.readouterr()
     exits = json.loads((GOLDEN / "exits.json").read_text())
     assert code == exits[name]
     assert captured.out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_and_exit_code_are_pinned(name, capsys):
+    assert_pinned(name, capsys)
+
+
+def test_one_parser_serves_every_call(capsys):
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--row", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    for name in ("classify", "characterize"):
+        assert_pinned(name, capsys)
