@@ -71,7 +71,10 @@ def parse_universe(value: Any, context: str) -> Universe:
         if not all(isinstance(name, str) for name in value):
             raise InputError(f"{context}: universe labels must be strings")
         check_input_size(len(value))
-        return Universe(len(value), tuple(value))
+        try:
+            return Universe(len(value), tuple(value))
+        except InputError as exc:
+            raise InputError(f"{context}: {exc}") from None
     if isinstance(value, dict):
         _require_object(value, context, {"size"})
         size = value["size"]
@@ -142,7 +145,10 @@ def load_covering(path: str | Path) -> Covering:
         _parse_elements(universe, entry, f"{path}: blocks[{i}]")
         for i, entry in enumerate(value)
     )
-    return Covering(universe, blocks)
+    try:
+        return Covering(universe, blocks)
+    except InputError as exc:
+        raise InputError(f"{path}: blocks: {exc}") from None
 
 
 def load_frame(path: str | Path) -> ImplicationFrame:

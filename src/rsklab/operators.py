@@ -1,29 +1,31 @@
 """Lower and upper approximation operators.
 
-Four couplings of a lower and an upper operator are supported, selected
-by :class:`Pairing`:
-
-* ``DUAL_SUCC`` - both operators read successor neighbourhoods; the pair
-  is dual (``l(-X) = -u(X)``).
-* ``NONDUAL`` - lower reads successors, upper reads predecessors. The
-  upper operator then collects all successors of members of X, and the
-  pair forms an adjunction instead of a duality.
-* ``MIRROR_NONDUAL`` - the opposite coupling (lower via predecessors,
-  upper via successors); equivalent to ``NONDUAL`` on the transpose.
-* ``PAWLAK`` - granule-based operators, defined only when the relation
-  is an equivalence; included as a checked special case so the classical
-  definitions can be cross-checked against the relational ones.
-
 Every operator here is fixed by its images of singletons (its atoms):
 an upper operator is a complete join morphism, ``u(X)`` being the union
 of ``u({y})`` over the members y of X, and each lower operator is the
 dual ``l(X) = V minus u'(V minus X)`` of an upper operator ``u'``
-(Jónsson-Tarski; Yao, Inf. Sci. 111, 1998). ``_atom_source`` is the one
-place that decides which atoms each pairing reads. :func:`approx_tables`
-turns them into mask-to-mask lookup tables with one OR per mask, for the
-exhaustive searches elsewhere in the package; :func:`lower` and
-:func:`upper` join the same atoms for a single set without tabulating,
-in O(n), or O(n²) where the atoms are transposed (n ≤ 16 for file input).
+(Jónsson-Tarski; Yao, Inf. Sci. 111, 1998). An operator defined by
+successor neighbourhoods joins the transposed rows, one defined by
+predecessor neighbourhoods joins the rows, so each :class:`Pairing` is
+one corner of (lower reads the transpose?, upper reads the transpose?),
+and ``_READS_TRANSPOSE`` states which:
+
+* ``DUAL_SUCC`` (transpose, transpose) - both operators read successor
+  neighbourhoods; the pair is dual (``l(-X) = -u(X)``).
+* ``NONDUAL`` (transpose, rows) - lower reads successors, upper reads
+  predecessors. The upper operator then collects all successors of
+  members of X, and the pair forms an adjunction instead of a duality.
+* ``MIRROR_NONDUAL`` (rows, transpose) - the opposite coupling; equal to
+  ``NONDUAL`` on the transpose.
+* ``PAWLAK`` (rows, rows) - granule-based operators, defined only on an
+  equivalence, whose granule of x is row x; a checked special case to
+  cross-check the classical definitions against the relational ones.
+
+:func:`approx_tables` turns the atoms into mask-to-mask lookup tables
+with one OR per mask, for the exhaustive searches elsewhere in the
+package; :func:`lower` and :func:`upper` join the same atoms for a
+single set without tabulating, in O(n), or O(n²) where the atoms are
+transposed (n ≤ 16 for file input).
 """
 
 from __future__ import annotations
@@ -70,44 +72,22 @@ class Pairing(Enum):
             ) from None
 
 
-# Whether the (lower, upper) operator of a pairing takes its atoms from the
-# transpose of the successor rows (True) or from the rows themselves; the
-# lower operator is the dual of the upper operator on its atoms.
+# Whether (lower, upper) join the transposed rows: the four corners.
 _READS_TRANSPOSE = {
     Pairing.DUAL_SUCC: (True, True),
     Pairing.NONDUAL: (True, False),
     Pairing.MIRROR_NONDUAL: (False, True),
+    Pairing.PAWLAK: (False, False),
 }
 
 
-def granule_masks(n: int, rows: Sequence[int]) -> list[int]:
-    """Distinct equivalence classes of a row-encoded equivalence relation."""
-    seen = 0
-    blocks = []
-    for x in range(n):
-        if seen >> x & 1:
-            continue
-        seen |= rows[x]
-        blocks.append(rows[x])
-    return blocks
-
-
-def _atom_source(
-    pairing: Pairing, n: int, rows: Sequence[int]
-) -> tuple[Sequence[int], tuple[bool, bool]]:
-    """Atom rows of a pairing and whether (lower, upper) read their transpose."""
-    if pairing is not Pairing.PAWLAK:
-        return rows, _READS_TRANSPOSE[pairing]
-    if not RelationClass.Rrst.admits(n, rows):
+def _reads(pairing: Pairing, n: int, rows: Sequence[int]) -> tuple[bool, bool]:
+    """Whether (lower, upper) of a pairing read the transpose of the rows."""
+    if pairing is Pairing.PAWLAK and not RelationClass.Rrst.admits(n, rows):
         raise PreconditionError(
             "the granule-based pairing needs an equivalence relation"
         )
-    atoms = [0] * n
-    for block in granule_masks(n, rows):
-        for x in range(n):
-            if block >> x & 1:
-                atoms[x] = block
-    return atoms, (False, False)
+    return _READS_TRANSPOSE[pairing]
 
 
 def join_table(atoms: Sequence[int]) -> list[int]:
@@ -127,9 +107,9 @@ def approx_tables(
     size gate.
     """
     check_input_size(n)
-    source, reads = _atom_source(pairing, n, rows)
+    reads = _reads(pairing, n, rows)
     joins = {
-        transposed: join_table(transpose_rows(source) if transposed else source)
+        transposed: join_table(transpose_rows(rows) if transposed else rows)
         for transposed in set(reads)
     }
     full = (1 << n) - 1
@@ -151,15 +131,17 @@ def predecessor_set(relation: BinaryRelation, x: int) -> Subset:
 def granules(relation: BinaryRelation) -> list[Subset]:
     """The partition induced by an equivalence relation.
 
-    Classes are listed once each, ordered by least element. Raises
-    PreconditionError for non-equivalences: the granule-based definitions
-    are only meaningful on a partition.
+    Classes are listed once each, ordered by least element, each as the
+    row of its least element. Raises PreconditionError for
+    non-equivalences: the granule-based definitions are only meaningful
+    on a partition.
     """
     if not RelationClass.Rrst.contains(relation):
         raise PreconditionError("granules are defined only for equivalence relations")
     return [
-        Subset(relation.universe, block)
-        for block in granule_masks(relation.universe.size, relation.rows)
+        Subset(relation.universe, row)
+        for x, row in enumerate(relation.rows)
+        if row & -row == 1 << x
     ]
 
 
@@ -172,8 +154,8 @@ def _approximate(
         raise InputError("set and relation belong to different universes")
     n = relation.universe.size
     full = relation.universe.full_mask
-    source, reads = _atom_source(pairing, n, relation.rows)
-    atoms = transpose_rows(source) if reads[side] else source
+    rows = relation.rows
+    atoms = transpose_rows(rows) if _reads(pairing, n, rows)[side] else rows
     bits = x_set.bits if side else full ^ x_set.bits
     image = 0
     for y in range(n):

@@ -285,16 +285,16 @@ class RelationClass(Enum):
 
     @classmethod
     def from_tag(cls, tag: str) -> RelationClass:
-        # bare lowercase "r" is the reflexive subscript; the unconstrained
-        # column is addressed as uppercase "R" or "any"
+        # an uppercase R is only ever the relation symbol, so a tag starting
+        # with it is a class name exactly; any other tag is a subscript in any
+        # case, such as "rst", or "any" for the unconstrained column
         normalized = tag.strip()
-        if normalized == "R" or normalized.lower() == "any":
-            return cls.R
-        for member in cls:
-            if member.value == normalized:
-                return member
-        by_subscript = {m.value[1:]: m for m in cls if m is not cls.R}
-        member = by_subscript.get(normalized.lower())
+        if normalized.startswith("R"):
+            by_tag = {m.value: m for m in cls}
+        else:
+            by_tag = {m.value[1:] or "any": m for m in cls}
+            normalized = normalized.lower()
+        member = by_tag.get(normalized)
         if member is None:
             raise InputError(
                 f"unknown relation class {tag!r}; expected one of "
@@ -431,20 +431,12 @@ def intersect(relations: Sequence[BinaryRelation]) -> BinaryRelation:
 
 def transitive_closure(relation: BinaryRelation) -> BinaryRelation:
     """Smallest transitive relation containing the input; idempotent."""
-    n = relation.universe.size
+    # Warshall: after step k, each row holds all it reaches via 0..k
     out = list(relation.rows)
-    changed = True
-    while changed:
-        changed = False
-        for x in range(n):
-            row = out[x]
-            acc = row
-            for y in range(n):
-                if row >> y & 1:
-                    acc |= out[y]
-            if acc != row:
-                out[x] = acc
-                changed = True
+    for k in range(len(out)):
+        for x, row in enumerate(out):
+            if row >> k & 1:
+                out[x] = row | out[k]
     return BinaryRelation(relation.universe, tuple(out))
 
 

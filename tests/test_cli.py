@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from rsklab import Pairing, Subset, upper
 from rsklab.cli import build_parser, main
 
 
@@ -233,6 +234,17 @@ def test_readme_command_lines_parse():
     for line in lines:
         argv = shlex.split(line)[1:]
         assert build_parser().parse_args(argv).command == argv[0]
+
+
+def test_readme_library_block_runs():
+    """README's "Library" block runs and gives the results its comments show."""
+    block = README.read_text(encoding="utf-8").split("## Library")[1]
+    block = block.split("```python\n")[1].split("```")[0]
+    scope = {}
+    exec(block, scope)
+    x_set = Subset.of(scope["u"], [0])
+    assert repr(upper(Pairing.NONDUAL, scope["r"], x_set)) == "{1}"
+    assert scope["verdict"].counterexample is not None
 
 
 class TestOutput:
@@ -483,6 +495,42 @@ class TestErrorPaths:
         relation = write(tmp_path, "relation.json", {"universe": ["a"], "pairs": []})
         path = write(tmp_path, "bad.json", content)
         argv = [relation if a == "RELATION" else a for a in argv]
+        code, out, err = run(capsys, [*argv, path])
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv,content,message",
+        [
+            (
+                ["classify", "--relation"],
+                {"universe": ["a", "a"], "pairs": []},
+                "universe: universe labels must be pairwise distinct",
+            ),
+            (
+                ["logic", "--set", "SET", "--frame"],
+                {"propositions": ["a", "a"], "implies": []},
+                "propositions: universe labels must be pairwise distinct",
+            ),
+            (
+                ["covering", "--covering"],
+                {"universe": ["a"], "blocks": [[], ["a"]]},
+                "blocks: block 0 is empty; covering blocks must be nonempty",
+            ),
+            (
+                ["covering", "--covering"],
+                {"universe": ["a", "b"], "blocks": [["a"]]},
+                "blocks: blocks do not cover the universe; missing {b}",
+            ),
+        ],
+        ids=["duplicate-labels", "duplicate-propositions", "empty-block", "uncovered"],
+    )
+    def test_rejected_construction_is_one_line_exit_two(
+        self, capsys, tmp_path, argv, content, message
+    ):
+        subset = write(tmp_path, "set.json", {"set": ["a"]})
+        path = write(tmp_path, "bad.json", content)
+        argv = [subset if a == "SET" else a for a in argv]
         code, out, err = run(capsys, [*argv, path])
         assert code == 2 and out == ""
         assert err == f"error: {path}: {message}\n"

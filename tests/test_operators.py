@@ -98,7 +98,7 @@ class TestGranules:
         with pytest.raises(PreconditionError):
             granules(CHAIN)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_matches_orbit_oracle(self, n):
         for r in enumerate_relations(n, RelationClass.Rrst):
             expected = pawlak_classes(n, set(r.pairs()))

@@ -381,12 +381,18 @@ class TestRelationClassTags:
             ("r", RelationClass.Rr),
             ("rt", RelationClass.Rrt),
             ("ser", RelationClass.Rser),
+            ("rst", RelationClass.Rrst),
+            ("SER", RelationClass.Rser),
             ("Rst", RelationClass.Rst),
-            ("RST", RelationClass.Rrst),
         ],
     )
     def test_parse(self, tag, expected):
         assert RelationClass.from_tag(tag) == expected
+
+    @pytest.mark.parametrize("tag", ["RS", "RT", "RST", "RSER"])
+    def test_uppercase_r_names_a_class_exactly(self, tag):
+        with pytest.raises(InputError):
+            RelationClass.from_tag(tag)
 
     def test_reject_unknown(self):
         with pytest.raises(InputError):
