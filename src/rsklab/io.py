@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any
 
 from .coverings import Covering
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .logic import ImplicationFrame
 from .relations import (
     BinaryRelation,
@@ -70,19 +70,23 @@ def parse_universe(value: Any, context: str) -> Universe:
     if isinstance(value, list):
         if not all(isinstance(name, str) for name in value):
             raise InputError(f"{context}: universe labels must be strings")
-        check_input_size(len(value))
-        try:
-            return Universe(len(value), tuple(value))
-        except InputError as exc:
-            raise InputError(f"{context}: {exc}") from None
-    if isinstance(value, dict):
+        size, labels = len(value), tuple(value)
+    elif isinstance(value, dict):
         _require_object(value, context, {"size"})
-        size = value["size"]
+        size, labels = value["size"], None
         if not isinstance(size, int) or isinstance(size, bool) or size < 0:
             raise InputError(f"{context}: size must be a nonnegative integer")
+    else:
+        raise InputError(
+            f"{context}: universe must be a list of labels or {{\"size\": n}}"
+        )
+    try:
         check_input_size(size)
-        return Universe(size)
-    raise InputError(f"{context}: universe must be a list of labels or {{\"size\": n}}")
+        return Universe(size, labels)
+    except CapacityError as exc:
+        raise CapacityError(f"{context}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{context}: {exc}") from None
 
 
 def resolve_element(universe: Universe, token: Any, context: str) -> int:

@@ -25,13 +25,16 @@ and ``_READS_TRANSPOSE`` states which:
 with one OR per mask, for the exhaustive searches elsewhere in the
 package; :func:`lower` and :func:`upper` join the same atoms for a
 single set without tabulating, in O(n), or O(n²) where the atoms are
-transposed (n ≤ 16 for file input).
+transposed (n ≤ 16 for file input); :func:`sliced_operators` joins them
+for many relations and sets at once, over bit-sliced sets.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Sequence
+from functools import reduce
+from operator import and_, or_
+from typing import Callable, Sequence
 
 from .errors import InputError, PreconditionError
 from .relations import (
@@ -114,6 +117,41 @@ def approx_tables(
     }
     full = (1 << n) - 1
     return [full ^ image for image in reversed(joins[reads[0]])], joins[reads[1]]
+
+
+_SlicedSet = list[int]
+
+
+def sliced_operators(
+    pairing: Pairing, bits: Sequence[Sequence[int]], ones: int
+) -> tuple[Callable[[_SlicedSet], _SlicedSet], Callable[[_SlicedSet], _SlicedSet]]:
+    """(lower, upper) of many n-element relations at once, on bit-sliced sets.
+
+    Every int here is a bit vector over the same positions, each standing
+    for one relation and one set: ``bits[x][y]`` has the positions whose
+    relation holds (x, y), ``ones`` every position, and a set is a list of
+    n ints whose entry w has the positions whose set contains w. Each
+    operator is O(n²) big-int ANDs and ORs, reading the rows or their
+    transpose as :func:`approx_tables` does. The granule pairing's
+    equivalence precondition is the caller's to check.
+    """
+    n = len(bits)
+    # atoms[w][y]: the positions where w is in the join of {y}
+    lo_atoms, up_atoms = (
+        [[bits[w][y] if transposed else bits[y][w] for y in range(n)] for w in range(n)]
+        for transposed in _READS_TRANSPOSE[pairing]
+    )
+
+    def lower(sets: _SlicedSet) -> _SlicedSet:
+        return [
+            ones ^ reduce(or_, (a & ~v for a, v in zip(atoms, sets)), 0)
+            for atoms in lo_atoms
+        ]
+
+    def upper(sets: _SlicedSet) -> _SlicedSet:
+        return [reduce(or_, map(and_, atoms, sets), 0) for atoms in up_atoms]
+
+    return lower, upper
 
 
 def successor_set(relation: BinaryRelation, x: int) -> Subset:

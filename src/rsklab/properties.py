@@ -2,8 +2,17 @@
 
 Rows 1-23 match the shared row numbering of the two verdict tables; rows
 8-13 quantify over an ordered pair of subsets, all other rows over one
-subset. Row 1 (duality) is the conjunction of both orientations
-``l(-X) = -u(X)`` and ``u(-X) = -l(X)``.
+subset.
+
+Each one-set row is declared once, as data: a conjunction of inclusions
+``P(A) ⊆ Q(A)`` of words over l, u and ¬ (complement), at A the row's
+set X or a fixed ∅ or V. Row 1 (duality) is the four inclusions of
+``l(¬X) = ¬u(X)`` and ``u(¬X) = ¬l(X)``; rows 2-5 are evaluated at ∅ or
+V, ignore X, and so have the witness X=∅; every other one-set row is a
+single inclusion. Two algebras read the same words: each row's
+``evaluate`` is compiled from them once, at import, over one relation's
+tables, and the column scan interprets them over bit-sliced sets. Rows
+8-13 keep their predicates.
 
 Row 13 is stated here as ``u(X∩Y) ⊆ u(X) ∩ u(Y)``; the reverse inclusion
 fails already for equivalence relations, so only this direction is
@@ -23,6 +32,21 @@ scan runs; the scan stays the only witness finder, so the check never
 changes a result. One-set rows are always scanned, and the check runs
 only when a two-set row is asked for.
 
+A column scan, ``scan_class_failures``, decides every member of a class
+at once by bit-slicing (Biham, "A fast new DES implementation in
+software", FSE 1997; Knuth, TAOCP 4A, "Bitwise tricks and techniques").
+For each size it packs a batch of members, in encoding order, into ints
+of ``_BATCH_BITS`` bits, where bit ``k * 2^n + X`` stands for member k
+at subset X. Each relation bit (x, y) becomes one int, a set becomes n
+ints, and each word is O(n²) big-int ANDs and ORs over every member and
+every X of the batch (``operators.sliced_operators``). A one-set row's
+fail mask is the OR of its inclusions' violations, and its lowest set
+bit names the row's minimal failing member. Rows 8-13 are decided by
+``_morphisms`` computed on the sliced operators, and a member failing it
+is suspect for them. Only suspect members get ``approx_tables`` and
+``relation_failures``, which finds the witness, so verdicts and
+witnesses are those of a member-by-member scan.
+
 A refuted verdict always carries the canonically minimal counterexample:
 smallest universe size, then smallest relation encoding, then smallest X
 bitmask, then smallest Y. Searches scan in exactly that order, which is
@@ -31,11 +55,15 @@ why verdicts are independent of worker scheduling.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import reduce
+from itertools import chain, islice
+from operator import itemgetter, or_
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError, PreconditionError
-from .operators import Pairing, approx_tables
+from .operators import Pairing, approx_tables, sliced_operators
 from .relations import (
     BinaryRelation,
     RelationClass,
@@ -49,13 +77,55 @@ _Eval = Callable[[Sequence[int], Sequence[int], int, int, int], bool]
 
 
 @dataclass(frozen=True)
+class Inclusion:
+    """``P(A) ⊆ Q(A)`` for words P and Q over l, u and ¬ (complement).
+
+    A word reads right to left, as composition: ``"ul"`` is u(l(A)) and
+    ``""`` is A itself. A is the row's set X, or the fixed set ∅ or V.
+    """
+
+    sub: str
+    sup: str
+    at: str = "X"
+
+
+@dataclass(frozen=True)
 class PropertyRow:
-    """One table row: an executable predicate over (lower, upper, X[, Y])."""
+    """One table row: an executable predicate over (lower, upper, X[, Y]).
+
+    A one-set row's ``evaluate`` is compiled from its ``inclusions``; rows
+    8-13 have a predicate and no inclusions.
+    """
 
     index: int
     label: str
     two_set: bool
     evaluate: _Eval
+    inclusions: tuple[Inclusion, ...] = ()
+
+
+# The table algebra: lo and up are one relation's tables by mask, f the
+# full mask and x the row's set, so a word becomes nested lookups.
+_TABLE_LETTERS = {"l": "lo[{}]", "u": "up[{}]", "¬": "(f ^ {})"}
+_TABLE_SETS = {"X": "x", "∅": "0", "V": "f"}
+
+
+def _table_term(word: str, at: str) -> str:
+    term = _TABLE_SETS[at]
+    for letter in reversed(word):
+        term = _TABLE_LETTERS[letter].format(term)
+    return term
+
+
+def _one_set(index: int, label: str, *inclusions: Inclusion) -> PropertyRow:
+    """A one-set row; ``evaluate`` is its inclusions compiled to one expression."""
+    test = " and ".join(
+        f"not {_table_term(i.sub, i.at)} & ~{_table_term(i.sup, i.at)}"
+        for i in inclusions
+    )
+    # the source holds only the fixed words of PROPERTY_ROWS
+    evaluate = eval(f"lambda lo, up, f, x, y: {test}")
+    return PropertyRow(index, label, False, evaluate, inclusions)
 
 
 def _subset(a: int, b: int) -> bool:
@@ -71,35 +141,6 @@ def _morphisms(lo, up, full):
         if lo[full ^ x] != lo[full ^ x ^ a] & lo[full ^ a]:
             return False
     return True
-
-
-def _p01(lo, up, f, x, y):
-    cx = f & ~x
-    return lo[cx] == f & ~up[x] and up[cx] == f & ~lo[x]
-
-
-def _p02(lo, up, f, x, y):
-    return lo[0] == 0
-
-
-def _p03(lo, up, f, x, y):
-    return up[0] == 0
-
-
-def _p04(lo, up, f, x, y):
-    return lo[f] == f
-
-
-def _p05(lo, up, f, x, y):
-    return up[f] == f
-
-
-def _p06(lo, up, f, x, y):
-    return _subset(lo[x], x)
-
-
-def _p07(lo, up, f, x, y):
-    return _subset(x, up[x])
 
 
 def _p08(lo, up, f, x, y):
@@ -126,70 +167,37 @@ def _p13(lo, up, f, x, y):
     return _subset(up[x & y], up[x] & up[y])
 
 
-def _p14(lo, up, f, x, y):
-    return _subset(lo[lo[x]], lo[x])
-
-
-def _p15(lo, up, f, x, y):
-    return _subset(lo[x], lo[lo[x]])
-
-
-def _p16(lo, up, f, x, y):
-    return _subset(up[lo[x]], lo[x])
-
-
-def _p17(lo, up, f, x, y):
-    return _subset(lo[x], up[lo[x]])
-
-
-def _p18(lo, up, f, x, y):
-    return _subset(up[up[x]], up[x])
-
-
-def _p19(lo, up, f, x, y):
-    return _subset(up[x], up[up[x]])
-
-
-def _p20(lo, up, f, x, y):
-    return _subset(lo[up[x]], up[x])
-
-
-def _p21(lo, up, f, x, y):
-    return _subset(up[x], lo[up[x]])
-
-
-def _p22(lo, up, f, x, y):
-    return _subset(x, lo[up[x]])
-
-
-def _p23(lo, up, f, x, y):
-    return _subset(up[lo[x]], x)
-
-
 PROPERTY_ROWS: tuple[PropertyRow, ...] = (
-    PropertyRow(1, "duality of l(X), u(X)", False, _p01),
-    PropertyRow(2, "l(∅) = ∅", False, _p02),
-    PropertyRow(3, "∅ = u(∅)", False, _p03),
-    PropertyRow(4, "l(V) = V", False, _p04),
-    PropertyRow(5, "u(V) = V", False, _p05),
-    PropertyRow(6, "l(X) ⊆ X", False, _p06),
-    PropertyRow(7, "X ⊆ u(X)", False, _p07),
+    _one_set(
+        1,
+        "duality of l(X), u(X)",
+        Inclusion("l¬", "¬u"),
+        Inclusion("¬u", "l¬"),
+        Inclusion("u¬", "¬l"),
+        Inclusion("¬l", "u¬"),
+    ),
+    _one_set(2, "l(∅) = ∅", Inclusion("l", "", "∅")),
+    _one_set(3, "∅ = u(∅)", Inclusion("u", "", "∅")),
+    _one_set(4, "l(V) = V", Inclusion("", "l", "V")),
+    _one_set(5, "u(V) = V", Inclusion("", "u", "V")),
+    _one_set(6, "l(X) ⊆ X", Inclusion("l", "")),
+    _one_set(7, "X ⊆ u(X)", Inclusion("", "u")),
     PropertyRow(8, "X ⊆ Y ⇒ l(X) ⊆ l(Y)", True, _p08),
     PropertyRow(9, "X ⊆ Y ⇒ u(X) ⊆ u(Y)", True, _p09),
     PropertyRow(10, "u(X∪Y) = u(X) ∪ u(Y)", True, _p10),
     PropertyRow(11, "l(X∩Y) = l(X) ∩ l(Y)", True, _p11),
     PropertyRow(12, "l(X∪Y) ⊇ l(X) ∪ l(Y)", True, _p12),
     PropertyRow(13, "u(X∩Y) ⊆ u(X) ∩ u(Y)", True, _p13),
-    PropertyRow(14, "l(l(X)) ⊆ l(X)", False, _p14),
-    PropertyRow(15, "l(l(X)) ⊇ l(X)", False, _p15),
-    PropertyRow(16, "u(l(X)) ⊆ l(X)", False, _p16),
-    PropertyRow(17, "u(l(X)) ⊇ l(X)", False, _p17),
-    PropertyRow(18, "u(u(X)) ⊆ u(X)", False, _p18),
-    PropertyRow(19, "u(u(X)) ⊇ u(X)", False, _p19),
-    PropertyRow(20, "l(u(X)) ⊆ u(X)", False, _p20),
-    PropertyRow(21, "u(X) ⊆ l(u(X))", False, _p21),
-    PropertyRow(22, "X ⊆ l(u(X))", False, _p22),
-    PropertyRow(23, "u(l(X)) ⊆ X", False, _p23),
+    _one_set(14, "l(l(X)) ⊆ l(X)", Inclusion("ll", "l")),
+    _one_set(15, "l(l(X)) ⊇ l(X)", Inclusion("l", "ll")),
+    _one_set(16, "u(l(X)) ⊆ l(X)", Inclusion("ul", "l")),
+    _one_set(17, "u(l(X)) ⊇ l(X)", Inclusion("l", "ul")),
+    _one_set(18, "u(u(X)) ⊆ u(X)", Inclusion("uu", "u")),
+    _one_set(19, "u(u(X)) ⊇ u(X)", Inclusion("u", "uu")),
+    _one_set(20, "l(u(X)) ⊆ u(X)", Inclusion("lu", "u")),
+    _one_set(21, "u(X) ⊆ l(u(X))", Inclusion("u", "lu")),
+    _one_set(22, "X ⊆ l(u(X))", Inclusion("", "lu")),
+    _one_set(23, "u(l(X)) ⊆ X", Inclusion("ul", "")),
 )
 
 
@@ -305,6 +313,140 @@ class PropertyVerdict:
         return "refuted" if self.refuted else "verified"
 
 
+# Bits per batch of the column scan: each int of the pass is 128 KB
+# whatever the size or the class, so memory stays in the tens of MB.
+_BATCH_BITS = 1 << 20
+
+
+def _tile(block: int, width: int, count: int) -> int:
+    """``count`` copies of a ``width``-bit block, side by side."""
+    tiled, copies = block, 1
+    while copies < count:
+        tiled |= tiled << width * copies
+        copies *= 2
+    return tiled & (1 << width * count) - 1
+
+
+def _members(mask: int, n: int) -> Iterator[int]:
+    """Ascending indices k of the members with a bit set in block k of ``mask``."""
+    while mask:
+        k = (mask & -mask).bit_length() - 1 >> n
+        yield k
+        end = (k + 1) << n
+        mask = mask >> end << end
+
+
+class _Batch:
+    """A batch of n-element relations, bit-sliced over (member, subset).
+
+    Bit ``k * 2^n + X`` of each int stands for member k at subset X. A set
+    is n ints, entry w holding the positions whose set contains w; word
+    values are kept per (word, at) for the life of the batch.
+    """
+
+    def __init__(
+        self, n: int, members: Sequence[tuple[int, Sequence[int]]], pairing: Pairing
+    ):
+        width = 1 << n
+        self.n, self.width, self.count = n, width, len(members)
+        self.ones = (1 << width * len(members)) - 1
+        starts = self.where(lambda x: x == 0)
+        descending = [rows for _, rows in reversed(members)]
+        # only the rows that occur: a table of all 2^n rows would be 4^n chars
+        digits = {row: format(row, f"0{width}b") for row in set(chain(*descending))}
+        bits = []
+        for x in range(n):
+            # row x of each member k, at bits k * 2^n .. k * 2^n + n - 1
+            column = map(itemgetter(x), descending)
+            packed = int("".join(map(digits.__getitem__, column)), 2)
+            bits.append([self._fill(packed >> y & starts) for y in range(n)])
+        self.lower, self.upper = sliced_operators(pairing, bits, self.ones)
+        self.terms = {
+            ("", "X"): [self.where(lambda x, e=e: x >> e & 1) for e in range(n)],
+            ("", "∅"): [0] * n,
+            ("", "V"): [self.ones] * n,
+        }
+
+    def where(self, holds: Callable[[int], bool]) -> int:
+        """The positions, in every member, of the subsets X with ``holds(X)``."""
+        block = sum(1 << x for x in range(self.width) if holds(x))
+        return _tile(block, self.width, self.count)
+
+    def _fill(self, starts: int) -> int:
+        """Each set bit ``k * 2^n`` of ``starts`` widened to member k's whole block."""
+        return (starts << self.width) - starts
+
+    def term(self, word: str, at: str) -> list[int]:
+        """The set ``word(A)`` at every position, A the position's X or a fixed set."""
+        key = (word, at)
+        if key not in self.terms:
+            inner = self.term(word[1:], at)
+            if word[0] == "l":
+                self.terms[key] = self.lower(inner)
+            elif word[0] == "u":
+                self.terms[key] = self.upper(inner)
+            else:
+                self.terms[key] = [self.ones ^ v for v in inner]
+        return self.terms[key]
+
+    def failures(self, row: PropertyRow) -> int:
+        """The positions where a one-set row fails."""
+        violations = (
+            p & ~q
+            for i in row.inclusions
+            for p, q in zip(self.term(i.sub, i.at), self.term(i.sup, i.at))
+        )
+        return reduce(or_, violations, 0)
+
+    def morphism_failures(self) -> int:
+        """The positions where ``_morphisms`` fails, on the sliced operators.
+
+        At position X (a the least element of X) u fails when u(X) differs
+        from u(X minus a) ∪ u({a}); at position Z (a the least element not
+        in Z) l fails when l(Z) differs from l(Z ∪ {a}) ∩ l(V minus {a}),
+        which is ``_morphisms``' lower check at Z = -X.
+        """
+        up, lo = self.term("u", "X"), self.term("l", "X")
+        fails = 0
+        for a in range(self.n):
+            step, low = 1 << a, (2 << a) - 1
+            least = self.where(lambda x: x & low == step)
+            atom = self.where(lambda x: x == step)
+            for u in up:
+                joined = u << step | self._fill((u & atom) >> step)
+                fails |= least & (u ^ joined)
+            least = self.where(lambda z: z & low == step - 1)
+            co_step = self.width - 1 - step  # the subset V minus {a}
+            coatom = self.where(lambda z: z == co_step)
+            for l in lo:
+                met = l >> step & self._fill((l & coatom) >> co_step)
+                fails |= least & (l ^ met)
+        return fails
+
+
+def _suspects(
+    batch: _Batch, rows: Iterable[PropertyRow]
+) -> dict[int, list[PropertyRow]]:
+    """Member index -> the rows that may fail there first, per the sliced pass.
+
+    A one-set row is suspect at its minimal failing member only; the
+    two-set rows at every member failing the sliced morphism check.
+    """
+    suspects: dict[int, list[PropertyRow]] = defaultdict(list)
+    two_set = []
+    for row in rows:
+        if row.two_set:
+            two_set.append(row)
+            continue
+        fails = batch.failures(row)
+        if fails:
+            suspects[next(_members(fails, batch.n))].append(row)
+    if two_set:
+        for k in _members(batch.morphism_failures(), batch.n):
+            suspects[k] += two_set
+    return suspects
+
+
 def scan_class_failures(
     pairing: Pairing,
     relation_class: RelationClass,
@@ -314,8 +456,10 @@ def scan_class_failures(
     """Minimal counterexamples ``row -> (n, encoding, x, y)`` for the given rows.
 
     Rows with no counterexample up to ``max_n`` are absent from the result.
-    Scans sizes, then encodings, ascending; a row is settled by the first
-    failing relation of the class, with the minimal assignment inside it.
+    Settles each row at the first failing relation of the class (sizes,
+    then encodings, ascending), with the minimal assignment inside it: the
+    bit-sliced pass names the candidates, and ``relation_failures`` on each,
+    in encoding order, decides them.
     """
     pending = {property_row(i).index: property_row(i) for i in indices}
     found: dict[int, tuple[int, int, int, int | None]] = {}
@@ -324,16 +468,20 @@ def scan_class_failures(
             "the granule-based pairing is only searchable over class Rrst"
         )
     for n in range(1, max_n + 1):
-        if not pending:
-            break
         full = (1 << n) - 1
-        for encoding, rows in class_rows(n, relation_class):
-            lo, up = approx_tables(n, rows, pairing)
-            for index, (x, y) in relation_failures(pending.values(), lo, up, full).items():
-                found[index] = (n, encoding, x, y)
-                del pending[index]
-            if not pending:
+        members = class_rows(n, relation_class)
+        while pending:
+            batch = list(islice(members, max(1, _BATCH_BITS >> n)))
+            if not batch:
                 break
+            suspects = _suspects(_Batch(n, batch, pairing), pending.values())
+            for k in sorted(suspects):
+                encoding, rows = batch[k]
+                lo, up = approx_tables(n, rows, pairing)
+                asked = [row for row in suspects[k] if row.index in pending]
+                for index, (x, y) in relation_failures(asked, lo, up, full).items():
+                    found[index] = (n, encoding, x, y)
+                    del pending[index]
     return found
 
 

@@ -3,10 +3,12 @@
 Everything here works on plain Python sets of pairs and frozensets of
 elements, deliberately sharing no code with the package's bitmask
 kernel, so agreement between the two is meaningful. The exceptions are
-``plain_failures``, which takes the package's row predicates as given and
-replaces only the decision step around them, and ``reference_scan``,
-which takes the package's operator kernel and decision step as given and
-replaces only the class enumeration.
+``ONE_SET_PREDICATES``, the one-set rows written out by hand over the
+package's tables, as reference for the rows the package compiles from
+words; ``plain_failures``, which takes the package's row predicates as
+given and replaces only the decision step around them; and
+``reference_scan``, which takes the package's operator kernel and
+decision step as given and replaces only the class enumeration.
 """
 
 from __future__ import annotations
@@ -141,6 +143,87 @@ def class_encodings(n: int, tag: str) -> list[int]:
     """Encodings of the class's n-element relations: all of them, filtered."""
     flags = encoding_flags(n)
     return [e for e in range(1 << n * n) if in_class(tag, flags[e])]
+
+
+def _subset(a: int, b: int) -> bool:
+    return not (a & ~b)
+
+
+def _p01(lo, up, f, x, y):
+    cx = f & ~x
+    return lo[cx] == f & ~up[x] and up[cx] == f & ~lo[x]
+
+
+def _p02(lo, up, f, x, y):
+    return lo[0] == 0
+
+
+def _p03(lo, up, f, x, y):
+    return up[0] == 0
+
+
+def _p04(lo, up, f, x, y):
+    return lo[f] == f
+
+
+def _p05(lo, up, f, x, y):
+    return up[f] == f
+
+
+def _p06(lo, up, f, x, y):
+    return _subset(lo[x], x)
+
+
+def _p07(lo, up, f, x, y):
+    return _subset(x, up[x])
+
+
+def _p14(lo, up, f, x, y):
+    return _subset(lo[lo[x]], lo[x])
+
+
+def _p15(lo, up, f, x, y):
+    return _subset(lo[x], lo[lo[x]])
+
+
+def _p16(lo, up, f, x, y):
+    return _subset(up[lo[x]], lo[x])
+
+
+def _p17(lo, up, f, x, y):
+    return _subset(lo[x], up[lo[x]])
+
+
+def _p18(lo, up, f, x, y):
+    return _subset(up[up[x]], up[x])
+
+
+def _p19(lo, up, f, x, y):
+    return _subset(up[x], up[up[x]])
+
+
+def _p20(lo, up, f, x, y):
+    return _subset(lo[up[x]], up[x])
+
+
+def _p21(lo, up, f, x, y):
+    return _subset(up[x], lo[up[x]])
+
+
+def _p22(lo, up, f, x, y):
+    return _subset(x, lo[up[x]])
+
+
+def _p23(lo, up, f, x, y):
+    return _subset(up[lo[x]], x)
+
+
+# Row -> the one-set row as an (lo, up, full, x, y) predicate, stated by hand.
+ONE_SET_PREDICATES = {
+    1: _p01, 2: _p02, 3: _p03, 4: _p04, 5: _p05, 6: _p06, 7: _p07,
+    14: _p14, 15: _p15, 16: _p16, 17: _p17, 18: _p18, 19: _p19,
+    20: _p20, 21: _p21, 22: _p22, 23: _p23,
+}
 
 
 def plain_failures(rows, lo, up, full):

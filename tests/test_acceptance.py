@@ -18,8 +18,8 @@ The two reference grids carry a handful of crossed cells that are in
 fact theorems for their class (all in rows 14-21, columns Rt/Rst); no
 counterexample can exist for those, so reproduction there means the
 search verifies the cell and flags the disagreement. The flagged sets
-below are additionally confirmed one or two sizes further out in
-criteria 1 and 2: the Rst cells at n<=5, the Rt cell at n<=4.
+below are additionally confirmed two sizes further out in criteria 1
+and 2: every flagged cell at n<=5.
 """
 
 import random
@@ -77,9 +77,9 @@ FLAGGED = {
     },
 }
 
-# Size up to which each flagged column is re-confirmed. Rst has 203
-# members at n=5 and takes milliseconds; Rt has 154,303 and takes seconds.
-CONFIRM_N = {RelationClass.Rst: 5, RelationClass.Rt: 4}
+# Size up to which every flagged cell is re-confirmed. At n=5 Rst has 203
+# members and Rt 154,303; the Rt cell takes about a second per pairing.
+CONFIRM_N = 5
 
 RELATION_SEED = 20260810
 COVERING_SEED = 20260811
@@ -113,9 +113,8 @@ def _reproduce_table(pairing: Pairing) -> tuple[bool, str, float]:
 
     for cls in {cls for _, cls in flagged}:
         rows = [row for row, c in flagged if c is cls]
-        max_n = CONFIRM_N[cls]
-        if scan_class_failures(pairing, cls, max_n, rows):
-            problems.append(f"flagged cells for {cls.value} refuted at n={max_n}")
+        if scan_class_failures(pairing, cls, CONFIRM_N, rows):
+            problems.append(f"flagged cells for {cls.value} refuted at n={CONFIRM_N}")
 
     for verdict in report.cells:
         key = (verdict.row, verdict.relation_class)
@@ -137,7 +136,7 @@ def _reproduce_table(pairing: Pairing) -> tuple[bool, str, float]:
 
     message = (
         f"{207 - len(mismatch)}/207 cells match, {len(mismatch)} flagged reference"
-        f" crosses verified (stable at n=5 for Rst, n=4 for Rt),"
+        f" crosses verified (stable at n={CONFIRM_N}),"
         f" all crosses replayable,"
         f" {elapsed:.1f}s"
     )

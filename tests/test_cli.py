@@ -543,10 +543,29 @@ class TestErrorPaths:
             ["characterize", "--id", "preorder"],
         ],
     )
-    def test_oversized_universe_is_exit_two(self, capsys, tmp_path, argv):
-        huge = write(
-            tmp_path, "huge.json", {"universe": {"size": 10**9}, "pairs": [[0, 0]]}
-        )
+    @pytest.mark.parametrize(
+        "universe, size",
+        [({"size": 10**9}, 10**9), ({"size": 17}, 17), ([f"e{i}" for i in range(17)], 17)],
+    )
+    def test_oversized_universe_is_exit_two(self, capsys, tmp_path, argv, universe, size):
+        huge = write(tmp_path, "huge.json", {"universe": universe, "pairs": [[0, 0]]})
         code, out, err = run(capsys, [*argv, "--relation", huge])
         assert code == 2 and out == ""
-        assert "per-input limit" in err and err.count("\n") == 1
+        assert err == (
+            f"error: {huge}: universe: universe size {size} exceeds the per-input"
+            " limit 16\n"
+        )
+
+    def test_oversized_frame_is_exit_two(self, capsys, tmp_path):
+        subset = write(tmp_path, "set.json", {"set": ["p0"]})
+        frame = write(
+            tmp_path,
+            "frame.json",
+            {"propositions": [f"p{i}" for i in range(17)], "implies": []},
+        )
+        code, out, err = run(capsys, ["logic", "--frame", frame, "--set", subset])
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: {frame}: propositions: universe size 17 exceeds the per-input"
+            " limit 16\n"
+        )

@@ -22,9 +22,9 @@ from rsklab import (
 from rsklab import properties
 from rsklab.operators import approx_tables
 from rsklab.properties import PROPERTY_ROWS, relation_failures, scan_class_failures
-from rsklab.relations import rows_from_encoding
+from rsklab.relations import class_rows, rows_from_encoding
 
-from oracles import plain_failures, reference_scan
+from oracles import ONE_SET_PREDICATES, plain_failures, reference_scan
 
 U3 = Universe(3)
 CHAIN = build_relation(U3, [(0, 1), (1, 2)])
@@ -39,6 +39,10 @@ class TestCatalog:
 
     def test_two_set_rows(self):
         assert {row.index for row in PROPERTY_ROWS if row.two_set} == TWO_SET_ROWS
+
+    def test_every_one_set_row_is_declared_by_inclusions(self):
+        declared = {row.index for row in PROPERTY_ROWS if row.inclusions}
+        assert declared == set(ONE_SET_PREDICATES) == set(range(1, 24)) - TWO_SET_ROWS
 
     def test_index_bounds(self):
         with pytest.raises(InputError):
@@ -191,15 +195,41 @@ class TestSearchClass:
             assert not eval_property(row, Pairing.NONDUAL, cex.relation, cex.x, cex.y)
 
 
-class TestScanAgainstReference:
-    """Pairings the golden tables do not pin, against the oracle-filtered scan."""
+PAIRINGS = [Pairing.DUAL_SUCC, Pairing.NONDUAL, Pairing.MIRROR_NONDUAL]
 
+
+class TestWordsAgainstPredicates:
+    """Each one-set row compiled from its words, against the row written out
+    by hand."""
+
+    @pytest.mark.parametrize("pairing", [*PAIRINGS, Pairing.PAWLAK])
+    def test_on_every_relation_and_set(self, pairing):
+        # the granule pairing is defined on equivalences only
+        members = RelationClass.Rrst if pairing is Pairing.PAWLAK else RelationClass.R
+        for n in range(4):
+            full = (1 << n) - 1
+            for _, rows in class_rows(n, members):
+                lo, up = approx_tables(n, rows, pairing)
+                for index, predicate in ONE_SET_PREDICATES.items():
+                    evaluate = property_row(index).evaluate
+                    for x in range(full + 1):
+                        assert evaluate(lo, up, full, x, 0) == predicate(
+                            lo, up, full, x, 0
+                        ), (n, rows, index, x)
+
+
+class TestScanAgainstReference:
+    """The bit-sliced column scan against the oracle-filtered scan, which
+    runs ``relation_failures`` on every member in turn."""
+
+    @pytest.mark.parametrize("pairing", PAIRINGS)
     @pytest.mark.parametrize("relation_class", list(RelationClass))
-    def test_mirror_nondual_all_classes(self, relation_class):
-        pairing = Pairing.MIRROR_NONDUAL
-        assert scan_class_failures(
-            pairing, relation_class, 3, range(1, 24)
-        ) == reference_scan(pairing, relation_class.value, 3, range(1, 24))
+    def test_all_rows_and_each_row_alone(self, relation_class, pairing):
+        expected = reference_scan(pairing, relation_class.value, 3, range(1, 24))
+        assert scan_class_failures(pairing, relation_class, 3, range(1, 24)) == expected
+        for index in range(1, 24):
+            alone = {index: expected[index]} if index in expected else {}
+            assert scan_class_failures(pairing, relation_class, 3, [index]) == alone
 
     def test_pawlak_equivalences(self):
         pairing = Pairing.PAWLAK
@@ -207,8 +237,80 @@ class TestScanAgainstReference:
             pairing, RelationClass.Rrst, 4, range(1, 24)
         ) == reference_scan(pairing, "Rrst", 4, range(1, 24))
 
+    def test_a_tiny_batch_width_changes_nothing(self, monkeypatch):
+        pairing = Pairing.NONDUAL
+        expected = {
+            cls: scan_class_failures(pairing, cls, 3, range(1, 24))
+            for cls in RelationClass
+        }
+        # 24 bits: batches of 12, 6 and 3 members at n = 1, 2, 3, the last
+        # of a size often short
+        monkeypatch.setattr(properties, "_BATCH_BITS", 24)
+        for cls in RelationClass:
+            assert scan_class_failures(pairing, cls, 3, range(1, 24)) == expected[cls]
 
-PAIRINGS = [Pairing.DUAL_SUCC, Pairing.NONDUAL, Pairing.MIRROR_NONDUAL]
+
+@pytest.fixture
+def failure_calls(monkeypatch):
+    """(full, lower, upper, rows asked) of every ``relation_failures`` call."""
+    calls = []
+    real = properties.relation_failures
+
+    def recorded(rows, lo, up, full):
+        rows = list(rows)
+        calls.append((full, lo, up, [row.index for row in rows]))
+        return real(rows, lo, up, full)
+
+    monkeypatch.setattr(properties, "relation_failures", recorded)
+    return calls
+
+
+class TestSlicedMorphismCheck:
+    """Rows 8-13 in the column scan: decided by the morphism check computed
+    on the sliced operators, with ``relation_failures`` for the members that
+    fail it."""
+
+    def test_rows_8_to_13_need_no_member_tables(self, failure_calls):
+        for cls in RelationClass:
+            assert scan_class_failures(Pairing.DUAL_SUCC, cls, 3, TWO_SET_ROWS) == {}
+        assert failure_calls == []
+
+    def test_a_failing_member_goes_to_relation_failures(
+        self, monkeypatch, failure_calls
+    ):
+        # the check fails at member 1 of every batch, whose block starts at 2^n
+        monkeypatch.setattr(
+            properties._Batch, "morphism_failures", lambda batch: 1 << batch.width
+        )
+        assert scan_class_failures(Pairing.DUAL_SUCC, RelationClass.Rs, 2, [6, 10]) == {
+            6: (1, 0, 0, None)
+        }
+
+        def call(n, k, indices):
+            rows = list(class_rows(n, RelationClass.Rs))[k][1]
+            return ((1 << n) - 1, *approx_tables(n, rows), indices)
+
+        assert failure_calls == [call(1, 0, [6]), call(1, 1, [10]), call(2, 1, [10])]
+
+    def test_failing_members_are_listed_once_each_in_order(self):
+        # n=2, blocks of 4 bits: member 0 at X=1 and X=2, member 1 at X=0 only,
+        # member 3 at X=1 and X=3
+        assert list(properties._members(0b1010_0000_0001_0110, 2)) == [0, 1, 3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.data(), st.sampled_from(PAIRINGS))
+    def test_equals_the_table_check_on_flipped_operators(self, n, data, pairing):
+        members = list(class_rows(n, RelationClass.R))
+        batch = properties._Batch(n, members, pairing)
+        k = data.draw(st.integers(0, len(members) - 1))
+        word = data.draw(st.sampled_from(["l", "u"]))
+        w, x = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, (1 << n) - 1))
+        # one membership flipped in the sliced operator and in member k's table
+        batch.term(word, "X")[w] ^= 1 << (k << n) + x
+        lo, up = (list(table) for table in approx_tables(n, members[k][1], pairing))
+        (lo if word == "l" else up)[x] ^= 1 << w
+        failing = list(properties._members(batch.morphism_failures(), n))
+        assert failing == ([] if properties._morphisms(lo, up, (1 << n) - 1) else [k])
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Full table generation: shape, reference comparison, structural sanity
 checks and scheduling-independent determinism."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -168,10 +169,17 @@ class TestDeterminism:
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# sha256 of the n<=4 table JSON of each pairing.
+N4_SHA256 = {
+    Pairing.DUAL_SUCC: "194bc2f28592765fcab97327ddc9eaf4e894e33b8115fe4cf09c92309f972fc5",
+    Pairing.NONDUAL: "c4cc2ca5473c4c8ef88a8c663efeff16023ada2548c22052c5e1e2fa9d453467",
+}
+
 
 class TestGoldenBytes:
-    """The n<=3 table JSON, checked in byte for byte; any change to a
-    verdict, a witness or the serialization shows up here."""
+    """The n<=3 table JSON, checked in byte for byte, and the n<=4 one by
+    its sha256; any change to a verdict, a witness or the serialization
+    shows up here."""
 
     def test_dual(self, dual_report):
         golden = (GOLDEN / "table_dual_n3.json").read_text(encoding="utf-8")
@@ -180,6 +188,11 @@ class TestGoldenBytes:
     def test_nondual(self, nondual_report):
         golden = (GOLDEN / "table_nondual_n3.json").read_text(encoding="utf-8")
         assert report_to_json(nondual_report) == golden
+
+    @pytest.mark.parametrize("pairing", list(N4_SHA256))
+    def test_n4_sha256(self, pairing):
+        text = report_to_json(generate_table(pairing, 4))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == N4_SHA256[pairing]
 
 
 class TestRendering:
