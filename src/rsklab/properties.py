@@ -35,17 +35,23 @@ only when a two-set row is asked for.
 A column scan, ``scan_class_failures``, decides every member of a class
 at once by bit-slicing (Biham, "A fast new DES implementation in
 software", FSE 1997; Knuth, TAOCP 4A, "Bitwise tricks and techniques").
-For each size it packs a batch of members, in encoding order, into ints
-of ``_BATCH_BITS`` bits, where bit ``k * 2^n + X`` stands for member k
-at subset X. Each relation bit (x, y) becomes one int, a set becomes n
-ints, and each word is O(n²) big-int ANDs and ORs over every member and
-every X of the batch (``operators.sliced_operators``). A one-set row's
-fail mask is the OR of its inclusions' violations, and its lowest set
-bit names the row's minimal failing member. Rows 8-13 are decided by
-``_morphisms`` computed on the sliced operators, and a member failing it
-is suspect for them. Only suspect members get ``approx_tables`` and
-``relation_failures``, which finds the witness, so verdicts and
-witnesses are those of a member-by-member scan.
+For each size it takes batches of relations, in encoding order, as ints
+of ``_BATCH_BITS`` bits, where bit ``k * 2^n + X`` stands for relation k
+of the batch at subset X, and each relation bit (x, y) is one int. A
+class without transitivity is a cube over its free encoding bits
+(``relations.class_cube``), with cube order equal to encoding order: a
+batch's low free bits are fixed tilings, its top free bits constant 0 or
+all-ones ints, and a serial class's members a mask computed from them.
+A transitive class occupies too little of its cube, so its members come
+from ``class_rows`` and are packed. A set becomes n ints, and each word
+is O(n²) big-int ANDs and ORs over every relation and every X of the
+batch (``operators.sliced_operators``). A one-set row's fail mask is the
+OR of its inclusions' violations, and its lowest set bit among the
+class members names the row's minimal failing member. Rows 8-13 are
+decided by ``_morphisms`` computed on the sliced operators, and a member
+failing it is suspect for them. Only suspect members get
+``approx_tables`` and ``relation_failures``, which finds the witness, so
+verdicts and witnesses are those of a member-by-member scan.
 
 A refuted verdict always carries the canonically minimal counterexample:
 smallest universe size, then smallest relation encoding, then smallest X
@@ -57,20 +63,23 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain, islice
-from operator import itemgetter, or_
+from operator import and_, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError, PreconditionError
 from .operators import Pairing, approx_tables, sliced_operators
 from .relations import (
     BinaryRelation,
+    ClassCube,
     RelationClass,
     Subset,
     Universe,
     check_capacity,
+    class_cube,
     class_rows,
+    rows_from_encoding,
 )
 
 _Eval = Callable[[Sequence[int], Sequence[int], int, int, int], bool]
@@ -336,45 +345,136 @@ def _members(mask: int, n: int) -> Iterator[int]:
         mask = mask >> end << end
 
 
-class _Batch:
-    """A batch of n-element relations, bit-sliced over (member, subset).
+class _Frame:
+    """The constant ints of the batches of ``count`` n-element relations.
 
-    Bit ``k * 2^n + X`` of each int stands for member k at subset X. A set
-    is n ints, entry w holding the positions whose set contains w; word
-    values are kept per (word, at) for the life of the batch.
+    Bit ``k * 2^n + X`` of each int stands for member k at subset X, and a
+    constant repeats one 2^n-bit block per member. A scan builds one frame
+    per size, and one more for a shorter last batch.
     """
 
-    def __init__(
-        self, n: int, members: Sequence[tuple[int, Sequence[int]]], pairing: Pairing
-    ):
+    def __init__(self, n: int, count: int):
         width = 1 << n
-        self.n, self.width, self.count = n, width, len(members)
-        self.ones = (1 << width * len(members)) - 1
-        starts = self.where(lambda x: x == 0)
-        descending = [rows for _, rows in reversed(members)]
-        # only the rows that occur: a table of all 2^n rows would be 4^n chars
-        digits = {row: format(row, f"0{width}b") for row in set(chain(*descending))}
-        bits = []
-        for x in range(n):
-            # row x of each member k, at bits k * 2^n .. k * 2^n + n - 1
-            column = map(itemgetter(x), descending)
-            packed = int("".join(map(digits.__getitem__, column)), 2)
-            bits.append([self._fill(packed >> y & starts) for y in range(n)])
-        self.lower, self.upper = sliced_operators(pairing, bits, self.ones)
-        self.terms = {
-            ("", "X"): [self.where(lambda x, e=e: x >> e & 1) for e in range(n)],
-            ("", "∅"): [0] * n,
-            ("", "V"): [self.ones] * n,
-        }
+        self.n, self.width, self.count = n, width, count
+        self.ones = (1 << width * count) - 1
+        self.starts = self.where(lambda x: x == 0)
+        # the set X itself: entry e holds the positions whose X contains e
+        self.sets = [self.where(lambda x, e=e: x >> e & 1) for e in range(n)]
+
+    @cached_property
+    def steps(self) -> list[tuple[int, ...]]:
+        """Per element a, the masks of the morphism check at a.
+
+        Built on first use: a scan without a two-set row never needs them.
+        """
+        steps = []
+        for a in range(self.n):
+            step, low = 1 << a, (2 << a) - 1
+            co_step = self.width - 1 - step  # the subset V minus {a}
+            steps.append(
+                (
+                    step,
+                    self.where(lambda x: x & low == step),
+                    self.where(lambda x: x == step),
+                    co_step,
+                    self.where(lambda z: z & low == step - 1),
+                    self.where(lambda z: z == co_step),
+                )
+            )
+        return steps
 
     def where(self, holds: Callable[[int], bool]) -> int:
         """The positions, in every member, of the subsets X with ``holds(X)``."""
         block = sum(1 << x for x in range(self.width) if holds(x))
         return _tile(block, self.width, self.count)
 
-    def _fill(self, starts: int) -> int:
+    def fill(self, starts: int) -> int:
         """Each set bit ``k * 2^n`` of ``starts`` widened to member k's whole block."""
         return (starts << self.width) - starts
+
+    def variables(self) -> list[int]:
+        """Int i holds the members k with bit i of k set, for 2^i < ``count``."""
+        variables = []
+        for i in range(self.count.bit_length() - 1):
+            span = self.width << i  # the bits of 2^i members
+            block = ((1 << span) - 1) << span
+            variables.append(_tile(block, 2 * span, self.count >> i + 1))
+        return variables
+
+
+def _member_bits(
+    frame: _Frame, members: Sequence[tuple[int, Sequence[int]]]
+) -> list[list[int]]:
+    """``bits[x][y]``: the positions whose member relates x to y."""
+    n, width = frame.n, frame.width
+    descending = [rows for _, rows in reversed(members)]
+    # only the rows that occur: a table of all 2^n rows would be 4^n chars
+    digits = {row: format(row, f"0{width}b") for row in set(chain(*descending))}
+    bits = []
+    for x in range(n):
+        # row x of each member k, at bits k * 2^n .. k * 2^n + n - 1
+        column = map(itemgetter(x), descending)
+        packed = int("".join(map(digits.__getitem__, column)), 2)
+        bits.append([frame.fill(packed >> y & frame.starts) for y in range(n)])
+    return bits
+
+
+# A batch source yields (frame, bits, mask, encoding): the sliced relation
+# bits of one batch, the positions of its class members, and the encoding of
+# member k, in encoding order across batches.
+_Batches = Iterator[tuple[_Frame, list[list[int]], int, Callable[[int], int]]]
+
+
+def _member_batches(n: int, relation_class: RelationClass) -> _Batches:
+    """The class's ``class_rows`` members, packed a batch at a time."""
+    members = class_rows(n, relation_class)
+    frame = None
+    while batch := list(islice(members, max(1, _BATCH_BITS >> n))):
+        if frame is None or frame.count != len(batch):
+            frame = _Frame(n, len(batch))
+        encodings = [encoding for encoding, _ in batch]
+        yield frame, _member_bits(frame, batch), frame.ones, encodings.__getitem__
+
+
+def _cube_batches(n: int, cube: ClassCube) -> _Batches:
+    """The cube of a class, its low free bits varying inside a batch.
+
+    The remaining free bits are fixed per batch to the bits of the batch
+    index, as constant ints, so batches come in cube order. A serial
+    class's mask is AND over x of OR over y of ``bits[x][y]``, and a batch
+    with no member is skipped.
+    """
+    low = min(cube.free, max(1, _BATCH_BITS >> n).bit_length() - 1)
+    frame = _Frame(n, 1 << low)
+    variables = frame.variables()
+    for top in range(1 << cube.free - low):
+        fixed = [frame.ones if top >> i & 1 else 0 for i in range(cube.free - low)]
+        free = variables + fixed
+        bits = [[free[i] if i >= 0 else frame.ones for i in row] for row in cube.layout]
+        mask = frame.ones
+        if cube.serial:
+            mask = reduce(and_, (reduce(or_, row) for row in bits))
+            if not mask:
+                continue
+        yield frame, bits, mask, lambda k, base=top << low: cube.encoding(base | k)
+
+
+class _Batch:
+    """A batch of n-element relations, bit-sliced over (member, subset).
+
+    A set is n ints, entry w holding the positions whose set contains w;
+    word values are kept per (word, at) for the life of the batch.
+    """
+
+    def __init__(self, frame: _Frame, bits: list[list[int]], pairing: Pairing):
+        self.frame = frame
+        self.n, self.width, self.ones = frame.n, frame.width, frame.ones
+        self.lower, self.upper = sliced_operators(pairing, bits, self.ones)
+        self.terms = {
+            ("", "X"): frame.sets,
+            ("", "∅"): [0] * self.n,
+            ("", "V"): [self.ones] * self.n,
+        }
 
     def term(self, word: str, at: str) -> list[int]:
         """The set ``word(A)`` at every position, A the position's X or a fixed set."""
@@ -407,30 +507,26 @@ class _Batch:
         which is ``_morphisms``' lower check at Z = -X.
         """
         up, lo = self.term("u", "X"), self.term("l", "X")
+        fill = self.frame.fill
         fails = 0
-        for a in range(self.n):
-            step, low = 1 << a, (2 << a) - 1
-            least = self.where(lambda x: x & low == step)
-            atom = self.where(lambda x: x == step)
+        for step, least, atom, co_step, co_least, coatom in self.frame.steps:
             for u in up:
-                joined = u << step | self._fill((u & atom) >> step)
+                joined = u << step | fill((u & atom) >> step)
                 fails |= least & (u ^ joined)
-            least = self.where(lambda z: z & low == step - 1)
-            co_step = self.width - 1 - step  # the subset V minus {a}
-            coatom = self.where(lambda z: z == co_step)
             for l in lo:
-                met = l >> step & self._fill((l & coatom) >> co_step)
-                fails |= least & (l ^ met)
+                met = l >> step & fill((l & coatom) >> co_step)
+                fails |= co_least & (l ^ met)
         return fails
 
 
 def _suspects(
-    batch: _Batch, rows: Iterable[PropertyRow]
+    batch: _Batch, mask: int, rows: Iterable[PropertyRow]
 ) -> dict[int, list[PropertyRow]]:
     """Member index -> the rows that may fail there first, per the sliced pass.
 
-    A one-set row is suspect at its minimal failing member only; the
-    two-set rows at every member failing the sliced morphism check.
+    Only the positions in ``mask``, those of class members, count. A
+    one-set row is suspect at its minimal failing member only; the two-set
+    rows at every member failing the sliced morphism check.
     """
     suspects: dict[int, list[PropertyRow]] = defaultdict(list)
     two_set = []
@@ -438,11 +534,11 @@ def _suspects(
         if row.two_set:
             two_set.append(row)
             continue
-        fails = batch.failures(row)
+        fails = batch.failures(row) & mask
         if fails:
             suspects[next(_members(fails, batch.n))].append(row)
     if two_set:
-        for k in _members(batch.morphism_failures(), batch.n):
+        for k in _members(batch.morphism_failures() & mask, batch.n):
             suspects[k] += two_set
     return suspects
 
@@ -459,7 +555,8 @@ def scan_class_failures(
     Settles each row at the first failing relation of the class (sizes,
     then encodings, ascending), with the minimal assignment inside it: the
     bit-sliced pass names the candidates, and ``relation_failures`` on each,
-    in encoding order, decides them.
+    in encoding order, decides them. A class with a cube is sliced over
+    its free bits; a transitive class is packed from its members.
     """
     pending = {property_row(i).index: property_row(i) for i in indices}
     found: dict[int, tuple[int, int, int, int | None]] = {}
@@ -468,20 +565,25 @@ def scan_class_failures(
             "the granule-based pairing is only searchable over class Rrst"
         )
     for n in range(1, max_n + 1):
+        if not pending:
+            break
         full = (1 << n) - 1
-        members = class_rows(n, relation_class)
-        while pending:
-            batch = list(islice(members, max(1, _BATCH_BITS >> n)))
-            if not batch:
-                break
-            suspects = _suspects(_Batch(n, batch, pairing), pending.values())
+        cube = class_cube(n, relation_class)
+        if cube is None:
+            batches = _member_batches(n, relation_class)
+        else:
+            batches = _cube_batches(n, cube)
+        for frame, bits, mask, encoding_of in batches:
+            suspects = _suspects(_Batch(frame, bits, pairing), mask, pending.values())
             for k in sorted(suspects):
-                encoding, rows = batch[k]
-                lo, up = approx_tables(n, rows, pairing)
+                encoding = encoding_of(k)
+                lo, up = approx_tables(n, rows_from_encoding(n, encoding), pairing)
                 asked = [row for row in suspects[k] if row.index in pending]
                 for index, (x, y) in relation_failures(asked, lo, up, full).items():
                     found[index] = (n, encoding, x, y)
                     del pending[index]
+            if not pending:
+                break
     return found
 
 

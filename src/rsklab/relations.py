@@ -457,8 +457,10 @@ def class_rows(
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """``(encoding, rows)`` of every n-element relation of the class, ascending.
 
-    The one enumeration of a class: ``enumerate_relations`` and the table
-    searches both read it. No capacity check; callers bound ``n``.
+    The one enumeration of a class: ``enumerate_relations`` reads it, and
+    so does the column scan for the classes that conjoin transitivity (the
+    others it slices over ``class_cube``). No capacity check; callers bound
+    ``n``.
 
     Builds only the members, by backtracking over rows from ``rows[n-1]``
     (the most significant part of the encoding) down to ``rows[0]``,
@@ -523,6 +525,62 @@ def class_rows(
             sub = (sub - free) & free  # next larger subset of free
 
     return extend(n - 1, 0)
+
+
+@dataclass(frozen=True)
+class ClassCube:
+    """The n-element relations of a class as every assignment of its free bits.
+
+    ``layout[x][y]`` is the free bit that relation bit (x, y) reads, or -1
+    where the class fixes it to 1. Cube index k assigns free bit i the
+    value of bit i of k. When ``serial`` is set, the members are the
+    serial relations of the cube; otherwise they are the whole cube.
+    """
+
+    layout: tuple[tuple[int, ...], ...]
+    free: int
+    serial: bool
+
+    def encoding(self, index: int) -> int:
+        """The encoding of the relation at cube index ``index``."""
+        n = len(self.layout)
+        value = 0
+        for x, row in enumerate(self.layout):
+            for y, bit in enumerate(row):
+                if bit < 0 or index >> bit & 1:
+                    value |= 1 << n * x + y
+        return value
+
+
+def class_cube(n: int, relation_class: RelationClass) -> ClassCube | None:
+    """The class as a cube over its free encoding bits; None if it is transitive.
+
+    Reflexive classes fix the diagonal to 1, and symmetric classes tie bit
+    (y, x) to bit (x, y). The free bits are numbered in ascending order of
+    the encoding position they set: the pair {x, y} with x > y, a single
+    free bit in a symmetric class, is placed at its more significant
+    position n·x + y. So cube order is encoding order: the highest
+    encoding bit where two cube members differ is the highest position of
+    the highest free bit where their indices differ. Transitivity ties
+    bits by implication, not equality, and leaves a cube of which few
+    assignments are members (0.5% for Rt at n=5), so those classes have
+    no cube and are generated by ``class_rows``.
+    """
+    conjuncts = _CONJUNCTS[relation_class.value]
+    if _transitive in conjuncts:
+        return None
+    symmetric = _symmetric in conjuncts
+    layout = [[-1] * n for _ in range(n)]
+    free = 0
+    for x in range(n):
+        for y in range(x + 1 if symmetric else n):
+            if x == y and _reflexive in conjuncts:
+                continue
+            layout[x][y] = free
+            if symmetric:
+                layout[y][x] = free
+            free += 1
+    return ClassCube(tuple(map(tuple, layout)), free, _serial in conjuncts)
 
 
 def enumerate_relations(

@@ -22,7 +22,7 @@ from rsklab import (
 from rsklab import properties
 from rsklab.operators import approx_tables
 from rsklab.properties import PROPERTY_ROWS, relation_failures, scan_class_failures
-from rsklab.relations import class_rows, rows_from_encoding
+from rsklab.relations import class_cube, class_rows, rows_from_encoding
 
 from oracles import ONE_SET_PREDICATES, plain_failures, reference_scan
 
@@ -222,9 +222,16 @@ class TestScanAgainstReference:
     """The bit-sliced column scan against the oracle-filtered scan, which
     runs ``relation_failures`` on every member in turn."""
 
+    # 24 bits: batches of 12, 6 and 3 members at n = 1, 2, 3, so the member
+    # path's last batch of a size is often short, and a cube's batches hold
+    # 8, 4 and 2 members, the rest of its free bits fixed per batch
+    @pytest.mark.parametrize("batch_bits", [properties._BATCH_BITS, 24])
     @pytest.mark.parametrize("pairing", PAIRINGS)
     @pytest.mark.parametrize("relation_class", list(RelationClass))
-    def test_all_rows_and_each_row_alone(self, relation_class, pairing):
+    def test_all_rows_and_each_row_alone(
+        self, monkeypatch, relation_class, pairing, batch_bits
+    ):
+        monkeypatch.setattr(properties, "_BATCH_BITS", batch_bits)
         expected = reference_scan(pairing, relation_class.value, 3, range(1, 24))
         assert scan_class_failures(pairing, relation_class, 3, range(1, 24)) == expected
         for index in range(1, 24):
@@ -237,17 +244,54 @@ class TestScanAgainstReference:
             pairing, RelationClass.Rrst, 4, range(1, 24)
         ) == reference_scan(pairing, "Rrst", 4, range(1, 24))
 
-    def test_a_tiny_batch_width_changes_nothing(self, monkeypatch):
-        pairing = Pairing.NONDUAL
-        expected = {
-            cls: scan_class_failures(pairing, cls, 3, range(1, 24))
-            for cls in RelationClass
-        }
-        # 24 bits: batches of 12, 6 and 3 members at n = 1, 2, 3, the last
-        # of a size often short
-        monkeypatch.setattr(properties, "_BATCH_BITS", 24)
+
+TRANSITIVE = {
+    RelationClass.Rt, RelationClass.Rrt, RelationClass.Rst, RelationClass.Rrst
+}
+CUBE_CLASSES = [cls for cls in RelationClass if cls not in TRANSITIVE]
+
+
+class TestCubeBatches:
+    """The classes without transitivity, scanned as a cube over their free
+    encoding bits rather than generated member by member."""
+
+    @pytest.mark.parametrize(
+        "n, relation_class, batch_bits",
+        [(n, cls, properties._BATCH_BITS) for n in range(1, 5) for cls in CUBE_CLASSES]
+        + [(5, RelationClass.Rs, properties._BATCH_BITS)]
+        + [(5, RelationClass.Rrs, properties._BATCH_BITS)]
+        + [(n, cls, 24) for n in range(1, 4) for cls in CUBE_CLASSES],
+    )
+    def test_cube_order_is_encoding_order(
+        self, monkeypatch, n, relation_class, batch_bits
+    ):
+        monkeypatch.setattr(properties, "_BATCH_BITS", batch_bits)
+        members = []
+        for frame, bits, mask, encoding_of in properties._cube_batches(
+            n, class_cube(n, relation_class)
+        ):
+            # the sliced bits are the packed relations the batch stands for
+            encodings = list(map(encoding_of, range(frame.count)))
+            relations = [(e, rows_from_encoding(n, e)) for e in encodings]
+            assert bits == properties._member_bits(frame, relations)
+            # the mask fills whole blocks; read its first bits off its digits
+            digits = format(mask, "b")[::-1]
+            starts = range(0, len(digits), frame.width)
+            members += (encoding_of(i >> n) for i in starts if digits[i] == "1")
+        assert members == [encoding for encoding, _ in class_rows(n, relation_class)]
+
+    def test_members_are_generated_exactly_for_transitive_classes(self, monkeypatch):
+        generated = set()
+        real = properties.class_rows
+
+        def recorded(n, relation_class):
+            generated.add(relation_class)
+            return real(n, relation_class)
+
+        monkeypatch.setattr(properties, "class_rows", recorded)
         for cls in RelationClass:
-            assert scan_class_failures(pairing, cls, 3, range(1, 24)) == expected[cls]
+            scan_class_failures(Pairing.NONDUAL, cls, 3, range(1, 24))
+        assert generated == TRANSITIVE
 
 
 @pytest.fixture
@@ -301,7 +345,9 @@ class TestSlicedMorphismCheck:
     @given(st.integers(1, 3), st.data(), st.sampled_from(PAIRINGS))
     def test_equals_the_table_check_on_flipped_operators(self, n, data, pairing):
         members = list(class_rows(n, RelationClass.R))
-        batch = properties._Batch(n, members, pairing)
+        frame = properties._Frame(n, len(members))
+        bits = properties._member_bits(frame, members)
+        batch = properties._Batch(frame, bits, pairing)
         k = data.draw(st.integers(0, len(members) - 1))
         word = data.draw(st.sampled_from(["l", "u"]))
         w, x = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, (1 << n) - 1))
