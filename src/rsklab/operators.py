@@ -143,10 +143,10 @@ def sliced_operators(
     )
 
     def lower(sets: _SlicedSet) -> _SlicedSet:
-        return [
-            ones ^ reduce(or_, (a & ~v for a, v in zip(atoms, sets)), 0)
-            for atoms in lo_atoms
-        ]
+        # ones ^ v, not ~v: a negative int makes each AND a two's complement
+        # pass over the whole int
+        outside = [ones ^ v for v in sets]
+        return [ones ^ reduce(or_, map(and_, atoms, outside), 0) for atoms in lo_atoms]
 
     def upper(sets: _SlicedSet) -> _SlicedSet:
         return [reduce(or_, map(and_, atoms, sets), 0) for atoms in up_atoms]

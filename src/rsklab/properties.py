@@ -37,13 +37,16 @@ at once by bit-slicing (Biham, "A fast new DES implementation in
 software", FSE 1997; Knuth, TAOCP 4A, "Bitwise tricks and techniques").
 For each size it takes batches of relations, in encoding order, as ints
 of ``_BATCH_BITS`` bits, where bit ``k * 2^n + X`` stands for relation k
-of the batch at subset X, and each relation bit (x, y) is one int. A
-class without transitivity is a cube over its free encoding bits
-(``relations.class_cube``), with cube order equal to encoding order: a
-batch's low free bits are fixed tilings, its top free bits constant 0 or
-all-ones ints, and a serial class's members a mask computed from them.
-A transitive class occupies too little of its cube, so its members come
-from ``class_rows`` and are packed. A set becomes n ints, and each word
+of the batch at subset X, and each relation bit (x, y) is one int. Every
+class is the members of a cube over its free encoding bits
+(``relations.class_cube``), with cube order equal to encoding order. A
+class without transitivity is sliced as its cube: a batch's low free
+bits are fixed tilings, its top free bits constant 0 or all-ones ints,
+and a serial class's members a mask computed from them. A transitive
+class fills too little of its cube (0.5% for Rt at n=5) to be sliced
+whole, so its members are read off the cube's bit-sliced transitivity
+masks (``ClassCube.members``) and packed, their rows through bytes, into
+batches of members only. A set becomes n ints, and each word
 is O(n²) big-int ANDs and ORs over every relation and every X of the
 batch (``operators.sliced_operators``). A one-set row's fail mask is the
 OR of its inclusions' violations, and its lowest set bit among the
@@ -64,8 +67,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, islice
-from operator import and_, itemgetter, or_
+from itertools import islice
+from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError, PreconditionError
@@ -78,8 +81,8 @@ from .relations import (
     Universe,
     check_capacity,
     class_cube,
-    class_rows,
     rows_from_encoding,
+    tile,
 )
 
 _Eval = Callable[[Sequence[int], Sequence[int], int, int, int], bool]
@@ -327,15 +330,6 @@ class PropertyVerdict:
 _BATCH_BITS = 1 << 20
 
 
-def _tile(block: int, width: int, count: int) -> int:
-    """``count`` copies of a ``width``-bit block, side by side."""
-    tiled, copies = block, 1
-    while copies < count:
-        tiled |= tiled << width * copies
-        copies *= 2
-    return tiled & (1 << width * count) - 1
-
-
 def _members(mask: int, n: int) -> Iterator[int]:
     """Ascending indices k of the members with a bit set in block k of ``mask``."""
     while mask:
@@ -386,35 +380,37 @@ class _Frame:
     def where(self, holds: Callable[[int], bool]) -> int:
         """The positions, in every member, of the subsets X with ``holds(X)``."""
         block = sum(1 << x for x in range(self.width) if holds(x))
-        return _tile(block, self.width, self.count)
+        return tile(block, self.width, self.count)
 
     def fill(self, starts: int) -> int:
         """Each set bit ``k * 2^n`` of ``starts`` widened to member k's whole block."""
         return (starts << self.width) - starts
 
-    def variables(self) -> list[int]:
-        """Int i holds the members k with bit i of k set, for 2^i < ``count``."""
-        variables = []
-        for i in range(self.count.bit_length() - 1):
-            span = self.width << i  # the bits of 2^i members
-            block = ((1 << span) - 1) << span
-            variables.append(_tile(block, 2 * span, self.count >> i + 1))
-        return variables
 
+def _member_bits(frame: _Frame, encodings: Sequence[int]) -> list[list[int]]:
+    """``bits[x][y]``: the positions whose member relates x to y.
 
-def _member_bits(
-    frame: _Frame, members: Sequence[tuple[int, Sequence[int]]]
-) -> list[list[int]]:
-    """``bits[x][y]``: the positions whose member relates x to y."""
+    Row x of member k goes to bits ``k * 2^n .. k * 2^n + n - 1`` of one
+    int. From n = 3 a member's block is whole bytes, so the int is read
+    from bytes, row x of member k in the first bytes of its block; below,
+    where a transitive class has at most 13 members, it is a sum.
+    """
     n, width = frame.n, frame.width
-    descending = [rows for _, rows in reversed(members)]
-    # only the rows that occur: a table of all 2^n rows would be 4^n chars
-    digits = {row: format(row, f"0{width}b") for row in set(chain(*descending))}
+    full = (1 << n) - 1
+    stride = width // 8
     bits = []
     for x in range(n):
-        # row x of each member k, at bits k * 2^n .. k * 2^n + n - 1
-        column = map(itemgetter(x), descending)
-        packed = int("".join(map(digits.__getitem__, column)), 2)
+        shift = n * x
+        if stride:
+            data = bytearray(len(encodings) * stride)
+            for b in range(0, n, 8):  # a row's bytes, low first
+                digit = full >> b & 255
+                column = [e >> shift + b & digit for e in encodings]
+                data[b // 8 :: stride] = bytes(column)
+            packed = int.from_bytes(data, "little")
+        else:
+            rows = (e >> shift & full for e in encodings)
+            packed = sum(row << k * width for k, row in enumerate(rows))
         bits.append([frame.fill(packed >> y & frame.starts) for y in range(n)])
     return bits
 
@@ -425,37 +421,22 @@ def _member_bits(
 _Batches = Iterator[tuple[_Frame, list[list[int]], int, Callable[[int], int]]]
 
 
-def _member_batches(n: int, relation_class: RelationClass) -> _Batches:
-    """The class's ``class_rows`` members, packed a batch at a time."""
-    members = class_rows(n, relation_class)
+def _member_batches(n: int, cube: ClassCube) -> _Batches:
+    """The members of a transitive class's cube, packed a batch at a time."""
+    members = cube.members()
     frame = None
     while batch := list(islice(members, max(1, _BATCH_BITS >> n))):
         if frame is None or frame.count != len(batch):
             frame = _Frame(n, len(batch))
-        encodings = [encoding for encoding, _ in batch]
-        yield frame, _member_bits(frame, batch), frame.ones, encodings.__getitem__
+        yield frame, _member_bits(frame, batch), frame.ones, batch.__getitem__
 
 
 def _cube_batches(n: int, cube: ClassCube) -> _Batches:
-    """The cube of a class, its low free bits varying inside a batch.
-
-    The remaining free bits are fixed per batch to the bits of the batch
-    index, as constant ints, so batches come in cube order. A serial
-    class's mask is AND over x of OR over y of ``bits[x][y]``, and a batch
-    with no member is skipped.
-    """
+    """The cube of a class without transitivity, its low free bits varying
+    inside a batch, as ``ClassCube.batches`` slices it."""
     low = min(cube.free, max(1, _BATCH_BITS >> n).bit_length() - 1)
     frame = _Frame(n, 1 << low)
-    variables = frame.variables()
-    for top in range(1 << cube.free - low):
-        fixed = [frame.ones if top >> i & 1 else 0 for i in range(cube.free - low)]
-        free = variables + fixed
-        bits = [[free[i] if i >= 0 else frame.ones for i in row] for row in cube.layout]
-        mask = frame.ones
-        if cube.serial:
-            mask = reduce(and_, (reduce(or_, row) for row in bits))
-            if not mask:
-                continue
+    for top, bits, mask in cube.batches(low, frame.width):
         yield frame, bits, mask, lambda k, base=top << low: cube.encoding(base | k)
 
 
@@ -491,8 +472,9 @@ class _Batch:
 
     def failures(self, row: PropertyRow) -> int:
         """The positions where a one-set row fails."""
+        ones = self.ones
         violations = (
-            p & ~q
+            p & (ones ^ q)
             for i in row.inclusions
             for p, q in zip(self.term(i.sub, i.at), self.term(i.sup, i.at))
         )
@@ -555,8 +537,9 @@ def scan_class_failures(
     Settles each row at the first failing relation of the class (sizes,
     then encodings, ascending), with the minimal assignment inside it: the
     bit-sliced pass names the candidates, and ``relation_failures`` on each,
-    in encoding order, decides them. A class with a cube is sliced over
-    its free bits; a transitive class is packed from its members.
+    in encoding order, decides them. A class without transitivity is
+    sliced over its cube's free bits; a transitive class is packed from
+    its cube's members.
     """
     pending = {property_row(i).index: property_row(i) for i in indices}
     found: dict[int, tuple[int, int, int, int | None]] = {}
@@ -569,8 +552,8 @@ def scan_class_failures(
             break
         full = (1 << n) - 1
         cube = class_cube(n, relation_class)
-        if cube is None:
-            batches = _member_batches(n, relation_class)
+        if cube.transitive:
+            batches = _member_batches(n, cube)
         else:
             batches = _cube_batches(n, cube)
         for frame, bits, mask, encoding_of in batches:

@@ -17,7 +17,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property, reduce
+from itertools import product
+from operator import and_, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapacityError, InputError
@@ -290,22 +292,25 @@ class RelationClass(Enum):
         # case, such as "rst", or "any" for the unconstrained column
         normalized = tag.strip()
         if normalized.startswith("R"):
-            by_tag = {m.value: m for m in cls}
+            member = _BY_NAME.get(normalized)
         else:
-            by_tag = {m.value[1:] or "any": m for m in cls}
-            normalized = normalized.lower()
-        member = by_tag.get(normalized)
+            member = _BY_SUBSCRIPT.get(normalized.lower())
         if member is None:
             raise InputError(
                 f"unknown relation class {tag!r}; expected one of "
-                + ", ".join(m.value for m in cls)
+                + ", ".join(_BY_NAME)
                 + " or a subscript r/s/t/rs/rt/st/rst/ser, or 'any'"
             )
         return member
 
 
+# The tags ``RelationClass.from_tag`` accepts: class names, and subscripts.
+_BY_NAME = {m.value: m for m in RelationClass}
+_BY_SUBSCRIPT = {m.value[1:] or "any": m for m in RelationClass}
+
+
 # Class tag -> the base predicates the class conjoins, cheapest first. Keyed
-# by the tag string; ``violation`` and ``class_rows`` look it up once per call,
+# by the tag string; ``violation`` and ``class_cube`` look it up once per call,
 # so no per-encoding path depends on the key type.
 _CONJUNCTS: dict[str, tuple[Callable[[int, Sequence[int]], Violation | None], ...]] = {
     "R": (),
@@ -449,7 +454,7 @@ def reflexive_closure(relation: BinaryRelation) -> BinaryRelation:
 
 def rows_from_encoding(n: int, encoding: int) -> tuple[int, ...]:
     full = (1 << n) - 1
-    return tuple((encoding >> (n * x)) & full for x in range(n))
+    return tuple([encoding >> n * x & full for x in range(n)])
 
 
 def class_rows(
@@ -457,89 +462,86 @@ def class_rows(
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """``(encoding, rows)`` of every n-element relation of the class, ascending.
 
-    The one enumeration of a class: ``enumerate_relations`` reads it, and
-    so does the column scan for the classes that conjoin transitivity (the
-    others it slices over ``class_cube``). No capacity check; callers bound
-    ``n``.
-
-    Builds only the members, by backtracking over rows from ``rows[n-1]``
-    (the most significant part of the encoding) down to ``rows[0]``,
-    trying each row's candidates in ascending order, so encodings come out
-    ascending. A row's candidates obey the base predicates the class
-    conjoins (``_CONJUNCTS``) against the rows already fixed: reflexive
-    sets bit x of row x, symmetric copies bits y > x from the fixed rows,
-    serial rejects an empty row, and transitive needs ``rows[y] <= rows[x]``
-    for each fixed y in row x and ``rows[x] <= rows[z]`` for each fixed z
-    with x in row z. Each pair of rows is checked once both are fixed, so
-    a complete assignment is a member, and every member is reached.
+    The one enumeration of a class: ``enumerate_relations`` reads it. It
+    reads the members off the class's cube (``ClassCube.members``), as the
+    column scan does. No capacity check; callers bound ``n``.
     """
-    conjuncts = _CONJUNCTS[relation_class.value]
-    reflexive = _reflexive in conjuncts
-    symmetric = _symmetric in conjuncts
-    transitive = _transitive in conjuncts
-    serial = _serial in conjuncts
-    full = (1 << n) - 1
-    rows = [0] * n
+    for encoding in class_cube(n, relation_class).members():
+        yield encoding, rows_from_encoding(n, encoding)
 
-    def extend(x: int, encoding: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-        if x < 0:
-            yield encoding, tuple(rows)
-            return
-        bit = 1 << x
-        forced = bit if reflexive else 0
-        allowed = full
-        if symmetric:
-            mirrored = 0
-            for y in range(x + 1, n):
-                if rows[y] & bit:
-                    mirrored |= 1 << y
-            forced |= mirrored
-            allowed = (bit << 1) - 1 | mirrored
-        fixed_in = []
-        if transitive:
-            # rows[x] <= rows[z] for every fixed z with x in rows[z]; a fixed
-            # y may join rows[x] only if rows[y] fits under that bound.
-            for z in range(x + 1, n):
-                if rows[z] & bit:
-                    allowed &= rows[z]
-            for y in range(x + 1, n):
-                if allowed >> y & 1 and rows[y] & ~allowed:
-                    allowed &= ~(1 << y)
-            fixed_in = [
-                (1 << y, rows[y]) for y in range(x + 1, n) if allowed >> y & 1
-            ]
-        if forced & ~allowed:
-            return
-        free = allowed & ~forced
-        shift = n * x
-        sub = 0
-        while True:
-            row = forced | sub
-            if (row or not serial) and all(
-                not (row & y_bit and y_row & ~row) for y_bit, y_row in fixed_in
-            ):
-                rows[x] = row
-                yield from extend(x - 1, encoding | row << shift)
-            if sub == free:
+
+# Free bits assigned per level of a cube's descent, so that a level's masks
+# are ints of 2^12 bits, one per assignment of its free bits. Of 10 to 14
+# bits, 12 generated the preorders of size 6 fastest.
+_LEVEL_BITS = 12
+
+# Per byte value, the offsets of its set bits.
+_BYTE_BITS = tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(256))
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending, read off its bytes."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return [
+        j << 3 | i for j, byte in enumerate(data) if byte for i in _BYTE_BITS[byte]
+    ]
+
+
+def tile(block: int, width: int, count: int) -> int:
+    """``count`` copies of a ``width``-bit block, side by side."""
+    tiled, copies = block, 1
+    while copies < count:
+        tiled |= tiled << width * copies
+        copies *= 2
+    return tiled & (1 << width * count) - 1
+
+
+def _index_variables(bits: int, width: int) -> list[int]:
+    """The bit-sliced indices k < 2^bits, index k a block of ``width`` bits.
+
+    Int i holds the blocks of the indices k with bit i of k set.
+    """
+    variables = []
+    for i in range(bits):
+        span = width << i  # the bits of 2^i indices
+        block = ((1 << span) - 1) << span
+        variables.append(tile(block, 2 * span, 1 << bits - i - 1))
+    return variables
+
+
+# A transitivity term: the free bits that must all be 1 and the free bit
+# that must be 0 for some xRy, yRz, not xRz.
+_Term = tuple[tuple[int, ...], int]
+
+
+def _violations(terms: Sequence[_Term], values: Sequence[int], ones: int) -> int:
+    """The positions where some term is violated; ``values[i]`` is free bit i."""
+    fails = 0
+    for factors, missing in terms:
+        term = ones ^ values[missing]
+        for factor in factors:
+            if not term:
                 break
-            sub = (sub - free) & free  # next larger subset of free
-
-    return extend(n - 1, 0)
+            term &= values[factor]
+        fails |= term
+    return fails
 
 
 @dataclass(frozen=True)
 class ClassCube:
-    """The n-element relations of a class as every assignment of its free bits.
+    """The n-element relations of a class among the assignments of its free bits.
 
     ``layout[x][y]`` is the free bit that relation bit (x, y) reads, or -1
     where the class fixes it to 1. Cube index k assigns free bit i the
-    value of bit i of k. When ``serial`` is set, the members are the
-    serial relations of the cube; otherwise they are the whole cube.
+    value of bit i of k. The members are the whole cube, or its serial
+    relations when ``serial`` is set, or its transitive relations when
+    ``transitive`` is set.
     """
 
     layout: tuple[tuple[int, ...], ...]
     free: int
     serial: bool
+    transitive: bool
 
     def encoding(self, index: int) -> int:
         """The encoding of the relation at cube index ``index``."""
@@ -551,9 +553,103 @@ class ClassCube:
                     value |= 1 << n * x + y
         return value
 
+    @cached_property
+    def _terms(self) -> dict[_Term, int]:
+        """Each transitivity term not always met, with its lowest free bit.
 
-def class_cube(n: int, relation_class: RelationClass) -> ClassCube | None:
-    """The class as a cube over its free encoding bits; None if it is transitive.
+        A term is decided once every free bit from its lowest one up is
+        assigned. A fixed bit (x, z) meets its terms, and so does one that
+        is also (x, y) or (y, z).
+        """
+        layout, terms = self.layout, {}
+        if self.transitive:
+            for x, y, z in product(range(len(layout)), repeat=3):
+                missing = layout[x][z]
+                factors = {layout[x][y], layout[y][z]} - {-1}
+                if missing >= 0 and missing not in factors:
+                    terms[tuple(sorted(factors)), missing] = min(factors | {missing})
+        return terms
+
+    def _decided(self, lo: int, hi: int) -> list[_Term]:
+        """The terms whose lowest free bit is in ``lo..hi-1``."""
+        return [term for term, lowest in self._terms.items() if lo <= lowest < hi]
+
+    def _tops(self, low: int) -> Iterator[int]:
+        """Ascending, the assignments ``top`` of the free bits from ``low`` up
+        that violate no transitivity term they decide.
+
+        A descent from the most significant free bit, ``_LEVEL_BITS`` bits a
+        level: a level's mask is the bit-sliced check of the terms it
+        decides over every assignment of its bits, the bits above fixed by
+        the levels before, and only its set bits are extended.
+        """
+        levels = []
+        hi = self.free
+        while hi > low:
+            lo = low + (hi - low - 1) // _LEVEL_BITS * _LEVEL_BITS
+            ones = (1 << (1 << hi - lo)) - 1
+            levels.append(
+                (lo, hi, _index_variables(hi - lo, 1), ones, self._decided(lo, hi))
+            )
+            hi = lo
+
+        def descend(top: int, depth: int) -> Iterator[int]:
+            if depth == len(levels):
+                yield top
+                return
+            lo, hi, variables, ones, terms = levels[depth]
+            fixed = [ones if top >> i & 1 else 0 for i in range(self.free - hi)]
+            mask = ones ^ _violations(terms, [0] * lo + variables + fixed, ones)
+            for k in _set_bits(mask):
+                yield from descend(top << hi - lo | k, depth + 1)
+
+        return descend(0, 0)
+
+    def batches(
+        self, low: int, width: int
+    ) -> Iterator[tuple[int, list[list[int]], int]]:
+        """``(top, bits, mask)`` per batch of the cube indices ``top << low | k``.
+
+        Index k is the k-th block of ``width`` bits of each int: ``bits[x][y]``
+        has the blocks whose relation holds (x, y), and ``mask`` those of
+        the members. Batches come in cube order; a batch whose fixed bits
+        already violate transitivity is never built, and one without a
+        member is skipped.
+        """
+        ones = (1 << (width << low)) - 1
+        variables = _index_variables(low, width)
+        terms = self._decided(0, low)
+        for top in self._tops(low):
+            fixed = [ones if top >> i & 1 else 0 for i in range(self.free - low)]
+            values = variables + fixed
+            bits = [[values[i] if i >= 0 else ones for i in row] for row in self.layout]
+            mask = ones ^ _violations(terms, values, ones)
+            if self.serial:
+                mask &= reduce(and_, (reduce(or_, row) for row in bits), ones)
+            if mask:
+                yield top, bits, mask
+
+    def members(self) -> Iterator[int]:
+        """The encodings of the members, ascending.
+
+        Read off the masks of batches of ``2^_LEVEL_BITS`` cube indices, one
+        bit each: the set bits' indices come from a mask's bytes, and their
+        encodings from a table of the batch's free encoding bits.
+        """
+        low = min(self.free, _LEVEL_BITS)
+        fixed = self.encoding(0)
+        table = [0]  # the free encoding bits of index k; bit i doubles it
+        for i in range(low):
+            position = self.encoding(1 << i) ^ fixed
+            table += [e | position for e in table]
+        for top, _, mask in self.batches(low, 1):
+            base = self.encoding(top << low)
+            yield from [base | table[k] for k in _set_bits(mask)]
+
+
+@cache  # one cube, and one set of transitivity terms, per size and class
+def class_cube(n: int, relation_class: RelationClass) -> ClassCube:
+    """The class as the members of a cube over free encoding bits.
 
     Reflexive classes fix the diagonal to 1, and symmetric classes tie bit
     (y, x) to bit (x, y). The free bits are numbered in ascending order of
@@ -562,13 +658,11 @@ def class_cube(n: int, relation_class: RelationClass) -> ClassCube | None:
     position n·x + y. So cube order is encoding order: the highest
     encoding bit where two cube members differ is the highest position of
     the highest free bit where their indices differ. Transitivity ties
-    bits by implication, not equality, and leaves a cube of which few
-    assignments are members (0.5% for Rt at n=5), so those classes have
-    no cube and are generated by ``class_rows``.
+    bits by implication, not equality, so a class that conjoins it is the
+    cube of its other predicates with ``transitive`` set, and its members
+    are the assignments that violate no transitivity term.
     """
     conjuncts = _CONJUNCTS[relation_class.value]
-    if _transitive in conjuncts:
-        return None
     symmetric = _symmetric in conjuncts
     layout = [[-1] * n for _ in range(n)]
     free = 0
@@ -580,7 +674,9 @@ def class_cube(n: int, relation_class: RelationClass) -> ClassCube | None:
             if symmetric:
                 layout[y][x] = free
             free += 1
-    return ClassCube(tuple(map(tuple, layout)), free, _serial in conjuncts)
+    return ClassCube(
+        tuple(map(tuple, layout)), free, _serial in conjuncts, _transitive in conjuncts
+    )
 
 
 def enumerate_relations(

@@ -19,12 +19,17 @@ from rsklab import (
     property_row,
     search_class,
 )
-from rsklab import properties
+from rsklab import properties, relations
 from rsklab.operators import approx_tables
 from rsklab.properties import PROPERTY_ROWS, relation_failures, scan_class_failures
 from rsklab.relations import class_cube, class_rows, rows_from_encoding
 
-from oracles import ONE_SET_PREDICATES, plain_failures, reference_scan
+from oracles import (
+    ONE_SET_PREDICATES,
+    class_encodings,
+    plain_failures,
+    reference_scan,
+)
 
 U3 = Universe(3)
 CHAIN = build_relation(U3, [(0, 1), (1, 2)])
@@ -245,53 +250,108 @@ class TestScanAgainstReference:
         ) == reference_scan(pairing, "Rrst", 4, range(1, 24))
 
 
-TRANSITIVE = {
-    RelationClass.Rt, RelationClass.Rrt, RelationClass.Rst, RelationClass.Rrst
-}
-CUBE_CLASSES = [cls for cls in RelationClass if cls not in TRANSITIVE]
+TRANSITIVE = [RelationClass.Rt, RelationClass.Rrt, RelationClass.Rst, RelationClass.Rrst]
+
+
+def scanned_encodings(n, relation_class):
+    """The members of every batch the column scan builds, in scan order."""
+    cube = class_cube(n, relation_class)
+    if cube.transitive:
+        return [
+            encoding_of(k)
+            for frame, _, _, encoding_of in properties._member_batches(n, cube)
+            for k in range(frame.count)
+        ]
+    members = []
+    for frame, bits, mask, encoding_of in properties._cube_batches(n, cube):
+        # the sliced bits are the packed relations the batch stands for
+        encodings = list(map(encoding_of, range(frame.count)))
+        assert bits == properties._member_bits(frame, encodings)
+        # the mask fills whole blocks; read its first bits off its digits
+        digits = format(mask, "b")[::-1]
+        starts = range(0, len(digits), frame.width)
+        members += (encoding_of(i >> n) for i in starts if digits[i] == "1")
+    return members
 
 
 class TestCubeBatches:
-    """The classes without transitivity, scanned as a cube over their free
-    encoding bits rather than generated member by member."""
+    """Every class as the members of a cube over its free encoding bits: the
+    classes without transitivity sliced batch by batch, the transitive ones
+    read off their masks and packed."""
 
     @pytest.mark.parametrize(
         "n, relation_class, batch_bits",
-        [(n, cls, properties._BATCH_BITS) for n in range(1, 5) for cls in CUBE_CLASSES]
+        [(n, cls, properties._BATCH_BITS) for n in range(1, 5) for cls in RelationClass]
         + [(5, RelationClass.Rs, properties._BATCH_BITS)]
         + [(5, RelationClass.Rrs, properties._BATCH_BITS)]
-        + [(n, cls, 24) for n in range(1, 4) for cls in CUBE_CLASSES],
+        + [(n, cls, 24) for n in range(1, 4) for cls in RelationClass],
     )
     def test_cube_order_is_encoding_order(
         self, monkeypatch, n, relation_class, batch_bits
     ):
         monkeypatch.setattr(properties, "_BATCH_BITS", batch_bits)
-        members = []
-        for frame, bits, mask, encoding_of in properties._cube_batches(
-            n, class_cube(n, relation_class)
-        ):
-            # the sliced bits are the packed relations the batch stands for
-            encodings = list(map(encoding_of, range(frame.count)))
-            relations = [(e, rows_from_encoding(n, e)) for e in encodings]
-            assert bits == properties._member_bits(frame, relations)
-            # the mask fills whole blocks; read its first bits off its digits
-            digits = format(mask, "b")[::-1]
-            starts = range(0, len(digits), frame.width)
-            members += (encoding_of(i >> n) for i in starts if digits[i] == "1")
-        assert members == [encoding for encoding, _ in class_rows(n, relation_class)]
+        expected = [encoding for encoding, _ in class_rows(n, relation_class)]
+        assert scanned_encodings(n, relation_class) == expected
 
-    def test_members_are_generated_exactly_for_transitive_classes(self, monkeypatch):
-        generated = set()
-        real = properties.class_rows
+    @pytest.mark.parametrize("relation_class", list(RelationClass))
+    def test_small_batches_and_levels_give_the_oracle_members(
+        self, monkeypatch, relation_class
+    ):
+        # 2-bit levels and 24-bit batches: from n = 2 a cube's free bits span
+        # several levels of the descent, and the scan's batches hold at most
+        # 12 members; the cube batches at n = 4 are left to the test above,
+        # as one member a batch they would be 2^16 batches of R
+        monkeypatch.setattr(relations, "_LEVEL_BITS", 2)
+        monkeypatch.setattr(properties, "_BATCH_BITS", 24)
+        for n in range(5):
+            expected = class_encodings(n, relation_class.value)
+            generated = [encoding for encoding, _ in class_rows(n, relation_class)]
+            assert generated == expected
+            if 0 < n < 4 or relation_class in TRANSITIVE:
+                assert scanned_encodings(n, relation_class) == expected
 
-        def recorded(n, relation_class):
-            generated.add(relation_class)
-            return real(n, relation_class)
+    @pytest.mark.parametrize("relation_class", TRANSITIVE)
+    def test_the_descent_skips_batches_that_violate_transitivity(
+        self, monkeypatch, relation_class
+    ):
+        monkeypatch.setattr(relations, "_LEVEL_BITS", 2)
+        cube = class_cube(4, relation_class)
+        tops = list(cube._tops(2))
+        assert tops == sorted(set(tops))
+        # every skipped top already violates transitivity in its fixed bits
+        skipped = set(range(1 << cube.free - 2)) - set(tops)
+        assert skipped
+        for top in skipped:
+            for k in range(4):
+                rows = rows_from_encoding(4, cube.encoding(top << 2 | k))
+                assert not relation_class.admits(4, rows)
 
-        monkeypatch.setattr(properties, "class_rows", recorded)
+    def test_only_transitive_classes_are_packed_and_class_rows_is_not_read(
+        self, monkeypatch
+    ):
+        packed = []
+        members = relations.ClassCube.members
+
+        def recorded(cube):
+            packed.append(cube.transitive)
+            return members(cube)
+
+        def forbidden(n, relation_class):
+            raise AssertionError("the column scan read class_rows")
+
+        monkeypatch.setattr(relations.ClassCube, "members", recorded)
+        monkeypatch.setattr(relations, "class_rows", forbidden)
+        assert not hasattr(properties, "class_rows")
         for cls in RelationClass:
+            packed.clear()
             scan_class_failures(Pairing.NONDUAL, cls, 3, range(1, 24))
-        assert generated == TRANSITIVE
+            assert packed == [cls in TRANSITIVE] * len(packed)
+            assert bool(packed) == (cls in TRANSITIVE)
+
+    def test_every_class_has_a_cube(self):
+        for n in range(5):
+            for cls in RelationClass:
+                assert class_cube(n, cls).transitive == (cls in TRANSITIVE)
 
 
 @pytest.fixture
@@ -346,7 +406,7 @@ class TestSlicedMorphismCheck:
     def test_equals_the_table_check_on_flipped_operators(self, n, data, pairing):
         members = list(class_rows(n, RelationClass.R))
         frame = properties._Frame(n, len(members))
-        bits = properties._member_bits(frame, members)
+        bits = properties._member_bits(frame, [encoding for encoding, _ in members])
         batch = properties._Batch(frame, bits, pairing)
         k = data.draw(st.integers(0, len(members) - 1))
         word = data.draw(st.sampled_from(["l", "u"]))

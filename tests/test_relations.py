@@ -297,6 +297,21 @@ class TestEnumeration:
             count += 1
         assert count == size
 
+    # At n=6: equivalences Bell(6), partial equivalences Bell(7), pre-orders
+    # OEIS A000798.
+    @pytest.mark.parametrize(
+        "relation_class,size",
+        [
+            (RelationClass.Rrst, 203),
+            (RelationClass.Rst, 877),
+            (RelationClass.Rrt, 209527),
+        ],
+    )
+    def test_class_sizes_at_six(self, relation_class, size):
+        encodings = [encoding for encoding, _ in class_rows(6, relation_class)]
+        assert len(encodings) == size
+        assert encodings == sorted(set(encodings))
+
     def test_capacity_bound(self):
         with pytest.raises(CapacityError):
             next(enumerate_relations(5))
