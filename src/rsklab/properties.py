@@ -37,20 +37,24 @@ at once by bit-slicing (Biham, "A fast new DES implementation in
 software", FSE 1997; Knuth, TAOCP 4A, "Bitwise tricks and techniques").
 For each size it takes batches of relations, in encoding order, as ints
 of ``_BATCH_BITS`` bits, where bit ``k * 2^n + X`` stands for relation k
-of the batch at subset X, and each relation bit (x, y) is one int. Every
-class is the members of a cube over its free encoding bits
-(``relations.class_cube``), with cube order equal to encoding order. A
-class without transitivity is sliced as its cube: a batch's low free
-bits are fixed tilings, its top free bits constant 0 or all-ones ints,
-and a serial class's members a mask computed from them. A transitive
-class fills too little of its cube (0.5% for Rt at n=5) to be sliced
-whole, so its members are read off the cube's bit-sliced transitivity
-masks (``ClassCube.members``) and packed, their rows through bytes, into
-batches of members only. A set becomes n ints, and each word
-is O(n²) big-int ANDs and ORs over every relation and every X of the
-batch (``operators.sliced_operators``). A one-set row's fail mask is the
-OR of its inclusions' violations, and its lowest set bit among the
-class members names the row's minimal failing member. Rows 8-13 are
+of the batch at subset X, and each relation bit (x, y) is one int. The
+ints that depend only on the size and the batch length (the sets X, the
+masks of the morphism check, the cube's index variables and tables) are
+built once per process and shared, read-only, by every scan: a few
+frames of ints of up to 128 KB per size, 29 frames and about 10 MB after
+an n≤5 table. Every class is the members of a cube over its free
+encoding bits (``relations.class_cube``), with cube order equal to
+encoding order. A class without transitivity is sliced as its cube: a
+batch's low free bits are fixed tilings, its top free bits constant 0 or
+all-ones ints, and a serial class's members a mask computed from them. A
+transitive class fills too little of its cube (0.5% for Rt at n=5) to be
+sliced whole, so its members are read off the cube's bit-sliced
+transitivity masks (``ClassCube.members``) and packed, their rows
+through bytes, into batches of members only. A set becomes n ints, and
+each word is O(n²) big-int ANDs and ORs over every relation and every X
+of the batch (``operators.sliced_operators``). A one-set row's fail mask
+is the OR of its inclusions' violations, and its lowest set bit among
+the class members names the row's minimal failing member. Rows 8-13 are
 decided by ``_morphisms`` computed on the sliced operators, and a member
 failing it is suspect for them. Only suspect members get
 ``approx_tables`` and ``relation_failures``, which finds the witness, so
@@ -66,7 +70,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import islice
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
@@ -343,8 +347,12 @@ class _Frame:
     """The constant ints of the batches of ``count`` n-element relations.
 
     Bit ``k * 2^n + X`` of each int stands for member k at subset X, and a
-    constant repeats one 2^n-bit block per member. A scan builds one frame
-    per size, and one more for a shorter last batch.
+    constant repeats one 2^n-bit block per member. Frames come from
+    ``_frame``, one per (size, batch length) for the life of the process,
+    shared by every scan and never changed: their ints are read-only, held
+    in tuples. A frame holds n + 2 ints, and 4n more once a two-set row
+    asks for ``steps``, each of ``count * 2^n`` bits (128 KB at a whole
+    batch).
     """
 
     def __init__(self, n: int, count: int):
@@ -353,10 +361,10 @@ class _Frame:
         self.ones = (1 << width * count) - 1
         self.starts = self.where(lambda x: x == 0)
         # the set X itself: entry e holds the positions whose X contains e
-        self.sets = [self.where(lambda x, e=e: x >> e & 1) for e in range(n)]
+        self.sets = tuple(self.where(lambda x, e=e: x >> e & 1) for e in range(n))
 
     @cached_property
-    def steps(self) -> list[tuple[int, ...]]:
+    def steps(self) -> tuple[tuple[int, ...], ...]:
         """Per element a, the masks of the morphism check at a.
 
         Built on first use: a scan without a two-set row never needs them.
@@ -375,7 +383,7 @@ class _Frame:
                     self.where(lambda z: z == co_step),
                 )
             )
-        return steps
+        return tuple(steps)
 
     def where(self, holds: Callable[[int], bool]) -> int:
         """The positions, in every member, of the subsets X with ``holds(X)``."""
@@ -385,6 +393,12 @@ class _Frame:
     def fill(self, starts: int) -> int:
         """Each set bit ``k * 2^n`` of ``starts`` widened to member k's whole block."""
         return (starts << self.width) - starts
+
+
+@cache  # the sizes and batch lengths of a process are few: about ten a size
+def _frame(n: int, count: int) -> _Frame:
+    """The one frame of the batches of ``count`` n-element relations."""
+    return _Frame(n, count)
 
 
 def _member_bits(frame: _Frame, encodings: Sequence[int]) -> list[list[int]]:
@@ -424,10 +438,8 @@ _Batches = Iterator[tuple[_Frame, list[list[int]], int, Callable[[int], int]]]
 def _member_batches(n: int, cube: ClassCube) -> _Batches:
     """The members of a transitive class's cube, packed a batch at a time."""
     members = cube.members()
-    frame = None
     while batch := list(islice(members, max(1, _BATCH_BITS >> n))):
-        if frame is None or frame.count != len(batch):
-            frame = _Frame(n, len(batch))
+        frame = _frame(n, len(batch))
         yield frame, _member_bits(frame, batch), frame.ones, batch.__getitem__
 
 
@@ -435,7 +447,7 @@ def _cube_batches(n: int, cube: ClassCube) -> _Batches:
     """The cube of a class without transitivity, its low free bits varying
     inside a batch, as ``ClassCube.batches`` slices it."""
     low = min(cube.free, max(1, _BATCH_BITS >> n).bit_length() - 1)
-    frame = _Frame(n, 1 << low)
+    frame = _frame(n, 1 << low)
     for top, bits, mask in cube.batches(low, frame.width):
         yield frame, bits, mask, lambda k, base=top << low: cube.encoding(base | k)
 

@@ -496,7 +496,8 @@ def tile(block: int, width: int, count: int) -> int:
     return tiled & (1 << width * count) - 1
 
 
-def _index_variables(bits: int, width: int) -> list[int]:
+@cache  # shared by every scan: a few pairs a size, read-only
+def _index_variables(bits: int, width: int) -> tuple[int, ...]:
     """The bit-sliced indices k < 2^bits, index k a block of ``width`` bits.
 
     Int i holds the blocks of the indices k with bit i of k set.
@@ -506,7 +507,7 @@ def _index_variables(bits: int, width: int) -> list[int]:
         span = width << i  # the bits of 2^i indices
         block = ((1 << span) - 1) << span
         variables.append(tile(block, 2 * span, 1 << bits - i - 1))
-    return variables
+    return tuple(variables)
 
 
 # A transitivity term: the free bits that must all be 1 and the free bit
@@ -543,14 +544,26 @@ class ClassCube:
     serial: bool
     transitive: bool
 
-    def encoding(self, index: int) -> int:
-        """The encoding of the relation at cube index ``index``."""
+    @cached_property
+    def _positions(self) -> tuple[int, tuple[int, ...]]:
+        """The encoding bits the class fixes to 1, and those of each free bit."""
         n = len(self.layout)
-        value = 0
+        fixed, positions = 0, [0] * self.free
         for x, row in enumerate(self.layout):
             for y, bit in enumerate(row):
-                if bit < 0 or index >> bit & 1:
-                    value |= 1 << n * x + y
+                if bit < 0:
+                    fixed |= 1 << n * x + y
+                else:
+                    positions[bit] |= 1 << n * x + y
+        return fixed, tuple(positions)
+
+    def encoding(self, index: int) -> int:
+        """The encoding of the relation at cube index ``index``."""
+        value, positions = self._positions
+        while index:
+            low = index & -index
+            value |= positions[low.bit_length() - 1]
+            index ^= low
         return value
 
     @cached_property
@@ -570,9 +583,10 @@ class ClassCube:
                     terms[tuple(sorted(factors)), missing] = min(factors | {missing})
         return terms
 
-    def _decided(self, lo: int, hi: int) -> list[_Term]:
+    @cache  # a cube asks for a few ranges, and class_cube keeps the cube
+    def _decided(self, lo: int, hi: int) -> tuple[_Term, ...]:
         """The terms whose lowest free bit is in ``lo..hi-1``."""
-        return [term for term, lowest in self._terms.items() if lo <= lowest < hi]
+        return tuple(term for term, lowest in self._terms.items() if lo <= lowest < hi)
 
     def _tops(self, low: int) -> Iterator[int]:
         """Ascending, the assignments ``top`` of the free bits from ``low`` up
@@ -598,8 +612,8 @@ class ClassCube:
                 yield top
                 return
             lo, hi, variables, ones, terms = levels[depth]
-            fixed = [ones if top >> i & 1 else 0 for i in range(self.free - hi)]
-            mask = ones ^ _violations(terms, [0] * lo + variables + fixed, ones)
+            fixed = tuple(ones if top >> i & 1 else 0 for i in range(self.free - hi))
+            mask = ones ^ _violations(terms, (0,) * lo + variables + fixed, ones)
             for k in _set_bits(mask):
                 yield from descend(top << hi - lo | k, depth + 1)
 
@@ -620,7 +634,7 @@ class ClassCube:
         variables = _index_variables(low, width)
         terms = self._decided(0, low)
         for top in self._tops(low):
-            fixed = [ones if top >> i & 1 else 0 for i in range(self.free - low)]
+            fixed = tuple(ones if top >> i & 1 else 0 for i in range(self.free - low))
             values = variables + fixed
             bits = [[values[i] if i >= 0 else ones for i in row] for row in self.layout]
             mask = ones ^ _violations(terms, values, ones)
@@ -628,6 +642,14 @@ class ClassCube:
                 mask &= reduce(and_, (reduce(or_, row) for row in bits), ones)
             if mask:
                 yield top, bits, mask
+
+    @cache  # one width per cube and _LEVEL_BITS, and class_cube keeps the cube
+    def _low_table(self, low: int) -> tuple[int, ...]:
+        """Entry k: the free encoding bits of cube index k < 2^low."""
+        table = [0]  # bit i of k doubles it
+        for position in self._positions[1][:low]:
+            table += [e | position for e in table]
+        return tuple(table)
 
     def members(self) -> Iterator[int]:
         """The encodings of the members, ascending.
@@ -637,17 +659,13 @@ class ClassCube:
         encodings from a table of the batch's free encoding bits.
         """
         low = min(self.free, _LEVEL_BITS)
-        fixed = self.encoding(0)
-        table = [0]  # the free encoding bits of index k; bit i doubles it
-        for i in range(low):
-            position = self.encoding(1 << i) ^ fixed
-            table += [e | position for e in table]
+        table = self._low_table(low)
         for top, _, mask in self.batches(low, 1):
             base = self.encoding(top << low)
             yield from [base | table[k] for k in _set_bits(mask)]
 
 
-@cache  # one cube, and one set of transitivity terms, per size and class
+@cache  # one cube, and the tables it derives, per size and class
 def class_cube(n: int, relation_class: RelationClass) -> ClassCube:
     """The class as the members of a cube over free encoding bits.
 

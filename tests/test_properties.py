@@ -16,6 +16,7 @@ from rsklab import (
     build_relation,
     check_relation,
     eval_property,
+    generate_table,
     property_row,
     search_class,
 )
@@ -352,6 +353,82 @@ class TestCubeBatches:
         for n in range(5):
             for cls in RelationClass:
                 assert class_cube(n, cls).transitive == (cls in TRANSITIVE)
+
+
+def clear_shared_constants():
+    """Empty every functools cache of the scan's modules and their classes."""
+    for module in (properties, relations):
+        for value in list(vars(module).values()):
+            owners = [value, *vars(value).values()] if isinstance(value, type) else [value]
+            for cached in owners:
+                if hasattr(cached, "cache_clear"):
+                    cached.cache_clear()
+
+
+class TestSharedConstants:
+    """The column scan's size constants, built once per process and shared
+    by every scan: frames, index variables and cube tables."""
+
+    # the patched settings run before, between or after the default ones, so
+    # a cache keyed without _BATCH_BITS or _LEVEL_BITS serves one setting
+    # what it built for the other
+    @pytest.mark.parametrize("small_first", [False, True])
+    def test_changed_batch_and_level_bits_reuse_no_stale_constant(
+        self, monkeypatch, small_first
+    ):
+        pairings = [Pairing.DUAL_SUCC, Pairing.NONDUAL]
+        expected = {
+            (pairing, cls): reference_scan(pairing, cls.value, 3, range(1, 24))
+            for pairing in pairings
+            for cls in RelationClass
+        }
+        members = {
+            (n, cls): class_encodings(n, cls.value)
+            for n in range(1, 4)
+            for cls in RelationClass
+        }
+        clear_shared_constants()
+        for small in [small_first, not small_first, small_first]:
+            with monkeypatch.context() as patch:
+                if small:
+                    patch.setattr(properties, "_BATCH_BITS", 24)
+                    patch.setattr(relations, "_LEVEL_BITS", 2)
+                for (pairing, cls), failures in expected.items():
+                    found = scan_class_failures(pairing, cls, 3, range(1, 24))
+                    assert found == failures, (small, pairing, cls)
+                for (n, cls), encodings in members.items():
+                    generated = [encoding for encoding, _ in class_rows(n, cls)]
+                    assert generated == encodings, (small, n, cls)
+
+    def test_a_frame_is_built_once_per_size_and_batch_length(self, monkeypatch):
+        built = []
+        init = properties._Frame.__init__
+
+        def counted(frame, n, count):
+            built.append((n, count))
+            init(frame, n, count)
+
+        monkeypatch.setattr(properties._Frame, "__init__", counted)
+        clear_shared_constants()
+        generate_table(Pairing.DUAL_SUCC, 3)
+        generate_table(Pairing.NONDUAL, 3)
+        assert built and len(built) == len(set(built))
+        built.clear()
+        generate_table(Pairing.DUAL_SUCC, 3)
+        assert built == []
+
+    def test_shared_constants_are_read_only(self):
+        frames = [properties._frame(n, 1 << n) for n in range(1, 4)]
+        for frame in frames:
+            assert isinstance(frame.sets, tuple) and isinstance(frame.steps, tuple)
+        assert properties._Batch(frames[0], [[0]], Pairing.DUAL_SUCC).terms[
+            ("", "X")
+        ] is frames[0].sets
+        assert isinstance(relations._index_variables(3, 8), tuple)
+        cube = class_cube(3, RelationClass.Rt)
+        assert isinstance(cube._positions[1], tuple)
+        assert isinstance(cube._low_table(cube.free), tuple)
+        assert isinstance(cube._decided(0, cube.free), tuple)
 
 
 @pytest.fixture
