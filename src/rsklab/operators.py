@@ -25,15 +25,15 @@ and ``_READS_TRANSPOSE`` states which:
 with one OR per mask, for the exhaustive searches elsewhere in the
 package; :func:`lower` and :func:`upper` join the same atoms for a
 single set without tabulating, in O(n), or O(n²) where the atoms are
-transposed (n ≤ 16 for file input); :func:`sliced_operators` joins them
-for many relations and sets at once, over bit-sliced sets.
+transposed (n ≤ 16 for file input); :func:`sliced_operators` compiles,
+once per pairing and size, functions that join them for many relations
+and sets at once, over bit-sliced sets.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import reduce
-from operator import and_, or_
+from functools import cache
 from typing import Callable, Sequence
 
 from .errors import InputError, PreconditionError
@@ -119,39 +119,58 @@ def approx_tables(
     return [full ^ image for image in reversed(joins[reads[0]])], joins[reads[1]]
 
 
-_SlicedSet = list[int]
+_SlicedOperator = Callable[[Sequence[Sequence[int]], int, Sequence[int]], list[int]]
 
 
-def sliced_operators(
-    pairing: Pairing, bits: Sequence[Sequence[int]], ones: int
-) -> tuple[Callable[[_SlicedSet], _SlicedSet], Callable[[_SlicedSet], _SlicedSet]]:
-    """(lower, upper) of many n-element relations at once, on bit-sliced sets.
-
-    Every int here is a bit vector over the same positions, each standing
-    for one relation and one set: ``bits[x][y]`` has the positions whose
-    relation holds (x, y), ``ones`` every position, and a set is a list of
-    n ints whose entry w has the positions whose set contains w. Each
-    operator is O(n²) big-int ANDs and ORs, reading the rows or their
-    transpose as :func:`approx_tables` does. The granule pairing's
-    equivalence precondition is the caller's to check.
-    """
-    n = len(bits)
-    # atoms[w][y]: the positions where w is in the join of {y}
-    lo_atoms, up_atoms = (
-        [[bits[w][y] if transposed else bits[y][w] for y in range(n)] for w in range(n)]
-        for transposed in _READS_TRANSPOSE[pairing]
-    )
-
-    def lower(sets: _SlicedSet) -> _SlicedSet:
+def _sliced_source(name: str, n: int, transposed: bool) -> str:
+    """The unrolled source of the sliced operator ``name`` of n-element
+    relations; the lower one is the complement of the join of the
+    complement."""
+    lower = name == "lower"
+    sets = "c" if lower else "s"
+    images = []
+    for w in range(n):
+        # the join of {y} holds w where bits[w][y] (transposed) or bits[y][w]
+        join = " | ".join(
+            f"b{w}[{y}] & {sets}{y}" if transposed else f"b{y}[{w}] & {sets}{y}"
+            for y in range(n)
+        )
+        images.append(f"ones ^ ({join})" if lower else join)
+    lines = [
+        f"def {name}(bits, ones, sets):",
+        f"    {''.join(f'b{x}, ' for x in range(n))}= bits",
+    ]
+    if lower:
         # ones ^ v, not ~v: a negative int makes each AND a two's complement
         # pass over the whole int
-        outside = [ones ^ v for v in sets]
-        return [ones ^ reduce(or_, map(and_, atoms, outside), 0) for atoms in lo_atoms]
+        lines += [f"    c{y} = ones ^ sets[{y}]" for y in range(n)]
+    else:
+        lines.append(f"    {''.join(f's{y}, ' for y in range(n))}= sets")
+    lines.append(f"    return [{', '.join(images)}]")
+    return "\n".join(lines)
 
-    def upper(sets: _SlicedSet) -> _SlicedSet:
-        return [reduce(or_, map(and_, atoms, sets), 0) for atoms in up_atoms]
 
-    return lower, upper
+@cache  # two functions per (pairing, size) that a scan reaches
+def sliced_operators(
+    pairing: Pairing, n: int
+) -> tuple[_SlicedOperator, _SlicedOperator]:
+    """(lower, upper) of many n-element relations at once, on bit-sliced sets.
+
+    Each is a function ``(bits, ones, sets) -> set``, compiled once per
+    pairing and size into an unrolled body of n² ANDs and ORs. Every int
+    here is a bit vector over the same positions, each standing for one
+    relation and one set: ``bits[x][y]`` has the positions whose relation
+    holds (x, y), ``ones`` every position, and a set is n ints whose entry
+    w has the positions whose set contains w. Each operator reads the rows
+    or their transpose as :func:`approx_tables` does; the lower one
+    complements the set once per call. The granule pairing's equivalence
+    precondition is the caller's to check.
+    """
+    namespace: dict[str, _SlicedOperator] = {}
+    for name, transposed in zip(("lower", "upper"), _READS_TRANSPOSE[pairing]):
+        # the source holds only names and integer indices
+        exec(_sliced_source(name, n, transposed), namespace)
+    return namespace["lower"], namespace["upper"]
 
 
 def successor_set(relation: BinaryRelation, x: int) -> Subset:

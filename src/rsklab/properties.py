@@ -9,10 +9,10 @@ Each one-set row is declared once, as data: a conjunction of inclusions
 set X or a fixed ∅ or V. Row 1 (duality) is the four inclusions of
 ``l(¬X) = ¬u(X)`` and ``u(¬X) = ¬l(X)``; rows 2-5 are evaluated at ∅ or
 V, ignore X, and so have the witness X=∅; every other one-set row is a
-single inclusion. Two algebras read the same words: each row's
-``evaluate`` is compiled from them once, at import, over one relation's
-tables, and the column scan interprets them over bit-sliced sets. Rows
-8-13 keep their predicates.
+single inclusion. Two algebras read the same words, each compiled from
+them: each row's ``evaluate`` once, at import, over one relation's
+tables; and each row's fail mask once per size, over bit-sliced sets, on
+first use. Rows 8-13 keep their predicates.
 
 Row 13 is stated here as ``u(X∩Y) ⊆ u(X) ∩ u(Y)``; the reverse inclusion
 fails already for equivalence relations, so only this direction is
@@ -52,11 +52,16 @@ sliced whole, so its members are read off the cube's bit-sliced
 transitivity masks (``ClassCube.members``) and packed, their rows
 through bytes, into batches of members only. A set becomes n ints, and
 each word is O(n²) big-int ANDs and ORs over every relation and every X
-of the batch (``operators.sliced_operators``). A one-set row's fail mask
-is the OR of its inclusions' violations, and its lowest set bit among
-the class members names the row's minimal failing member. Rows 8-13 are
-decided by ``_morphisms`` computed on the sliced operators, and a member
-failing it is suspect for them. Only suspect members get
+of the batch, by the operators ``operators.sliced_operators`` compiles
+per pairing and size. The words the one-set rows read, with their
+suffixes, form one fixed plan, built at import; a batch evaluates only
+the plan's words that its pending rows read, each once, and the scan
+works that set out again only when a row is settled. A one-set row's
+fail mask is the OR of its inclusions' violations, and its lowest set
+bit among the class members names the row's minimal failing member.
+Rows 8-13 are decided by ``_morphisms`` computed on the sliced
+operators, reading u(X) and l(X) from the plan, and a member failing it
+is suspect for them. Only suspect members get
 ``approx_tables`` and ``relation_failures``, which finds the witness, so
 verdicts and witnesses are those of a member-by-member scan.
 
@@ -70,9 +75,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from itertools import islice
-from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError, PreconditionError
@@ -329,6 +333,75 @@ class PropertyVerdict:
         return "refuted" if self.refuted else "verified"
 
 
+def _suffixes(word: str, at: str) -> list[tuple[str, str]]:
+    """``(word, at)`` and every word inside it, inner words first."""
+    return [(word[start:], at) for start in reversed(range(len(word) + 1))]
+
+
+def _words(row: PropertyRow) -> list[tuple[str, str]]:
+    """The (word, at) that a batch evaluates for a row, inner words first:
+    the words of a one-set row's inclusions, and u(X) and l(X), which the
+    morphism check reads, for a two-set row."""
+    if row.two_set:
+        return _suffixes("u", "X") + _suffixes("l", "X")
+    return [
+        term
+        for i in row.inclusions
+        for word in (i.sub, i.sup)
+        for term in _suffixes(word, i.at)
+    ]
+
+
+# The fixed plan of the sliced algebra, every word of every row once, inner
+# words first, so that a batch, evaluating in plan order, evaluates a word
+# after the word its first letter applies to. A batch's values are a list by
+# plan position. _STEPS gives each word's first letter and the position of
+# the word it applies to ("" and None for a set itself), _ROW_TERMS each
+# one-set row's (sub, sup) positions, and _READS each row's positions.
+_PLAN = tuple(dict.fromkeys(term for row in PROPERTY_ROWS for term in _words(row)))
+_POSITION = {term: p for p, term in enumerate(_PLAN)}
+_STEPS = tuple(
+    (word[:1], _POSITION[word[1:], at] if word else None) for word, at in _PLAN
+)
+_ROW_TERMS = {
+    row.index: tuple(
+        (_POSITION[i.sub, i.at], _POSITION[i.sup, i.at]) for i in row.inclusions
+    )
+    for row in PROPERTY_ROWS
+    if not row.two_set
+}
+_READS = {
+    row.index: frozenset(_POSITION[term] for term in _words(row))
+    for row in PROPERTY_ROWS
+}
+_UX, _LX = _POSITION["u", "X"], _POSITION["l", "X"]
+
+
+def _needed(rows: Iterable[PropertyRow]) -> tuple[int, ...]:
+    """The plan positions a batch evaluates for the rows, in plan order."""
+    # a loop, not frozenset().union(*...): CPython builds that argument tuple
+    # from the generator by resizing, and every such tuple freed then stays
+    # in its size's free list, about 1 MB over a few thousand scans
+    needed: set[int] = set()
+    for row in rows:
+        needed |= _READS[row.index]
+    return tuple(sorted(needed))
+
+
+@cache  # one per size a scan reaches
+def _fail_masks(n: int) -> dict[int, Callable[[Sequence[Sequence[int]], int], int]]:
+    """Per one-set row, its fail mask from a batch's plan values and ones:
+    the OR of every inclusion's violations, compiled to one expression."""
+    masks = {}
+    for index, terms in _ROW_TERMS.items():
+        test = " | ".join(
+            f"v[{p}][{w}] & (ones ^ v[{q}][{w}])" for p, q in terms for w in range(n)
+        )
+        # the source holds only integer indices
+        masks[index] = eval(f"lambda v, ones: {test}")
+    return masks
+
+
 # Bits per batch of the column scan: each int of the pass is 128 KB
 # whatever the size or the class, so memory stays in the tens of MB.
 _BATCH_BITS = 1 << 20
@@ -455,42 +528,34 @@ def _cube_batches(n: int, cube: ClassCube) -> _Batches:
 class _Batch:
     """A batch of n-element relations, bit-sliced over (member, subset).
 
-    A set is n ints, entry w holding the positions whose set contains w;
-    word values are kept per (word, at) for the life of the batch.
+    A set is n ints, entry w holding the positions whose set contains w.
+    ``values[p]`` is the set of the plan's word p at every position: each
+    word in ``needed`` is evaluated once, in plan order, the others are None.
     """
 
-    def __init__(self, frame: _Frame, bits: list[list[int]], pairing: Pairing):
-        self.frame = frame
-        self.n, self.width, self.ones = frame.n, frame.width, frame.ones
-        self.lower, self.upper = sliced_operators(pairing, bits, self.ones)
-        self.terms = {
-            ("", "X"): frame.sets,
-            ("", "∅"): [0] * self.n,
-            ("", "V"): [self.ones] * self.n,
-        }
-
-    def term(self, word: str, at: str) -> list[int]:
-        """The set ``word(A)`` at every position, A the position's X or a fixed set."""
-        key = (word, at)
-        if key not in self.terms:
-            inner = self.term(word[1:], at)
-            if word[0] == "l":
-                self.terms[key] = self.lower(inner)
-            elif word[0] == "u":
-                self.terms[key] = self.upper(inner)
+    def __init__(
+        self,
+        frame: _Frame,
+        bits: list[list[int]],
+        pairing: Pairing,
+        needed: Sequence[int],
+    ):
+        n, ones = frame.n, frame.ones
+        self.frame, self.n, self.width, self.ones = frame, n, frame.width, ones
+        lower, upper = sliced_operators(pairing, n)
+        sets = {"X": frame.sets, "∅": (0,) * n, "V": (ones,) * n}
+        values: list = [None] * len(_PLAN)
+        for p in needed:
+            letter, inner = _STEPS[p]
+            if letter == "l":
+                values[p] = lower(bits, ones, values[inner])
+            elif letter == "u":
+                values[p] = upper(bits, ones, values[inner])
+            elif letter == "¬":
+                values[p] = [ones ^ v for v in values[inner]]
             else:
-                self.terms[key] = [self.ones ^ v for v in inner]
-        return self.terms[key]
-
-    def failures(self, row: PropertyRow) -> int:
-        """The positions where a one-set row fails."""
-        ones = self.ones
-        violations = (
-            p & (ones ^ q)
-            for i in row.inclusions
-            for p, q in zip(self.term(i.sub, i.at), self.term(i.sup, i.at))
-        )
-        return reduce(or_, violations, 0)
+                values[p] = sets[_PLAN[p][1]]
+        self.values = values
 
     def morphism_failures(self) -> int:
         """The positions where ``_morphisms`` fails, on the sliced operators.
@@ -500,7 +565,7 @@ class _Batch:
         in Z) l fails when l(Z) differs from l(Z ∪ {a}) ∩ l(V minus {a}),
         which is ``_morphisms``' lower check at Z = -X.
         """
-        up, lo = self.term("u", "X"), self.term("l", "X")
+        up, lo = self.values[_UX], self.values[_LX]
         fill = self.frame.fill
         fails = 0
         for step, least, atom, co_step, co_least, coatom in self.frame.steps:
@@ -523,12 +588,14 @@ def _suspects(
     rows at every member failing the sliced morphism check.
     """
     suspects: dict[int, list[PropertyRow]] = defaultdict(list)
+    fail_masks = _fail_masks(batch.n)
+    values, ones = batch.values, batch.ones
     two_set = []
     for row in rows:
         if row.two_set:
             two_set.append(row)
             continue
-        fails = batch.failures(row) & mask
+        fails = fail_masks[row.index](values, ones) & mask
         if fails:
             suspects[next(_members(fails, batch.n))].append(row)
     if two_set:
@@ -553,8 +620,9 @@ def scan_class_failures(
     sliced over its cube's free bits; a transitive class is packed from
     its cube's members.
     """
-    pending = {property_row(i).index: property_row(i) for i in indices}
+    pending = {row.index: row for row in map(property_row, indices)}
     found: dict[int, tuple[int, int, int, int | None]] = {}
+    needed = None
     if pairing is Pairing.PAWLAK and relation_class is not RelationClass.Rrst:
         raise PreconditionError(
             "the granule-based pairing is only searchable over class Rrst"
@@ -569,7 +637,12 @@ def scan_class_failures(
         else:
             batches = _cube_batches(n, cube)
         for frame, bits, mask, encoding_of in batches:
-            suspects = _suspects(_Batch(frame, bits, pairing), mask, pending.values())
+            if needed is None:
+                needed = _needed(pending.values())
+            # not kept: its words are freed before the next batch is built
+            suspects = _suspects(
+                _Batch(frame, bits, pairing, needed), mask, pending.values()
+            )
             for k in sorted(suspects):
                 encoding = encoding_of(k)
                 lo, up = approx_tables(n, rows_from_encoding(n, encoding), pairing)
@@ -577,6 +650,7 @@ def scan_class_failures(
                 for index, (x, y) in relation_failures(asked, lo, up, full).items():
                     found[index] = (n, encoding, x, y)
                     del pending[index]
+                    needed = None  # the words of the rows left, at the next batch
             if not pending:
                 break
     return found

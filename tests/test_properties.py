@@ -251,6 +251,86 @@ class TestScanAgainstReference:
         ) == reference_scan(pairing, "Rrst", 4, range(1, 24))
 
 
+def table_word(word, at, lo, up, full, x):
+    """``word(A)`` on one relation's tables, A the set X or a fixed ∅ or V."""
+    value = {"X": x, "∅": 0, "V": full}[at]
+    for letter in reversed(word):
+        if letter == "¬":
+            value = full ^ value
+        else:
+            value = (lo if letter == "l" else up)[value]
+    return value
+
+
+class TestCompiledKernels:
+    """The compiled sliced operators and row fail masks, against the table
+    algebra, and the words a batch evaluates."""
+
+    @pytest.mark.parametrize("pairing", [*PAIRINGS, Pairing.PAWLAK])
+    def test_every_plan_word_and_fail_mask_on_every_relation_and_set(self, pairing):
+        # the granule pairing is defined on equivalences only
+        members = RelationClass.Rrst if pairing is Pairing.PAWLAK else RelationClass.R
+        everything = range(len(properties._PLAN))
+        for n in range(1, 4):
+            full = (1 << n) - 1
+            listed = list(class_rows(n, members))
+            frame = properties._Frame(n, len(listed))
+            bits = properties._member_bits(frame, [encoding for encoding, _ in listed])
+            batch = properties._Batch(frame, bits, pairing, everything)
+            fail_masks = {
+                index: mask(batch.values, batch.ones)
+                for index, mask in properties._fail_masks(n).items()
+            }
+            for k, (_, rows) in enumerate(listed):
+                lo, up = approx_tables(n, rows, pairing)
+                for x in range(full + 1):
+                    position = (k << n) + x
+                    for (word, at), sliced in zip(properties._PLAN, batch.values):
+                        value = sum(1 << w for w in range(n) if sliced[w] >> position & 1)
+                        assert value == table_word(word, at, lo, up, full, x), (
+                            n, rows, word, at, x
+                        )
+                    for index, fails in fail_masks.items():
+                        holds = property_row(index).evaluate(lo, up, full, x, 0)
+                        assert bool(fails >> position & 1) == (not holds), (
+                            n, rows, index, x
+                        )
+
+    def test_a_scan_evaluates_only_the_words_of_its_pending_rows(self, monkeypatch):
+        evaluated, calls = [], []
+        init, compiled = properties._Batch.__init__, properties.sliced_operators
+
+        def recorded(batch, *args):
+            init(batch, *args)
+            values = enumerate(batch.values)
+            evaluated.append({properties._PLAN[p] for p, v in values if v is not None})
+
+        def counted(pairing, n):
+            lower, upper = compiled(pairing, n)
+
+            def counted_lower(*args):
+                calls.append("l")
+                return lower(*args)
+
+            def counted_upper(*args):
+                calls.append("u")
+                return upper(*args)
+
+            return counted_lower, counted_upper
+
+        monkeypatch.setattr(properties._Batch, "__init__", recorded)
+        monkeypatch.setattr(properties, "sliced_operators", counted)
+        row_6 = {("", "X"), ("l", "X")}
+        # row 6 holds on reflexive relations: one batch a size, all read l(X)
+        assert scan_class_failures(Pairing.DUAL_SUCC, RelationClass.Rr, 3, [6]) == {}
+        assert evaluated == [row_6] * 3 and calls == ["l"] * 3
+        # row 15 first fails at n = 3, and the n = 4 batch reads row 6 alone
+        evaluated.clear()
+        failures = scan_class_failures(Pairing.DUAL_SUCC, RelationClass.Rr, 4, [6, 15])
+        assert list(failures) == [15] and failures[15][0] == 3
+        assert evaluated == [row_6 | {("ll", "X")}] * 3 + [row_6]
+
+
 TRANSITIVE = [RelationClass.Rt, RelationClass.Rrt, RelationClass.Rst, RelationClass.Rrst]
 
 
@@ -421,9 +501,9 @@ class TestSharedConstants:
         frames = [properties._frame(n, 1 << n) for n in range(1, 4)]
         for frame in frames:
             assert isinstance(frame.sets, tuple) and isinstance(frame.steps, tuple)
-        assert properties._Batch(frames[0], [[0]], Pairing.DUAL_SUCC).terms[
-            ("", "X")
-        ] is frames[0].sets
+        x_word = properties._PLAN.index(("", "X"))
+        batch = properties._Batch(frames[0], [[0]], Pairing.DUAL_SUCC, [x_word])
+        assert batch.values[x_word] is frames[0].sets
         assert isinstance(relations._index_variables(3, 8), tuple)
         cube = class_cube(3, RelationClass.Rt)
         assert isinstance(cube._positions[1], tuple)
@@ -484,12 +564,14 @@ class TestSlicedMorphismCheck:
         members = list(class_rows(n, RelationClass.R))
         frame = properties._Frame(n, len(members))
         bits = properties._member_bits(frame, [encoding for encoding, _ in members])
-        batch = properties._Batch(frame, bits, pairing)
+        batch = properties._Batch(
+            frame, bits, pairing, properties._needed([property_row(8)])
+        )
         k = data.draw(st.integers(0, len(members) - 1))
         word = data.draw(st.sampled_from(["l", "u"]))
         w, x = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, (1 << n) - 1))
         # one membership flipped in the sliced operator and in member k's table
-        batch.term(word, "X")[w] ^= 1 << (k << n) + x
+        batch.values[properties._PLAN.index((word, "X"))][w] ^= 1 << (k << n) + x
         lo, up = (list(table) for table in approx_tables(n, members[k][1], pairing))
         (lo if word == "l" else up)[x] ^= 1 << w
         failing = list(properties._members(batch.morphism_failures(), n))
