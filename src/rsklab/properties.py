@@ -18,19 +18,21 @@ Row 13 is stated here as ``u(X∩Y) ⊆ u(X) ∩ u(Y)``; the reverse inclusion
 fails already for equivalence relations, so only this direction is
 consistent with the all-ticked reference rows it has to reproduce.
 
-Every relation is decided by one step, ``relation_failures``. Every
-relational operator is a complete join morphism (upper) or meet morphism
-(lower), fixed by its values on atoms (Jónsson-Tarski). ``_morphisms``
-checks the binary form of that once per relation, in O(2^n):
-``u(X) = u(X minus a) ∪ u({a})`` and ``l(-X) = l(-(X minus a)) ∩ l(-{a})``
-for every nonempty X and its least element a. By induction on |X| this
-holds exactly when ``u`` preserves binary unions (row 10) and ``l``
-binary intersections (row 11), which imply rows 9 and 13 and rows 8 and
-12, so rows 8-13 all hold without scanning the 4^n (X, Y) pairs. On any
-other table, such as a hand-edited one, the check fails and the plain
-scan runs; the scan stays the only witness finder, so the check never
-changes a result. One-set rows are always scanned, and the check runs
-only when a two-set row is asked for.
+``relation_failures`` decides every row on one relation's tables, for
+``check_relation`` and, in the column scan, for the two-set rows of a
+member failing the sliced morphism check. Every relational operator is a
+complete join morphism (upper) or meet morphism (lower), fixed by its
+values on atoms (Jónsson-Tarski). ``_morphisms`` checks the binary form
+of that once per relation, in O(2^n): ``u(X) = u(X minus a) ∪ u({a})``
+and ``l(-X) = l(-(X minus a)) ∩ l(-{a})`` for every nonempty X and its
+least element a. By induction on |X| this holds exactly when ``u``
+preserves binary unions (row 10) and ``l`` binary intersections (row
+11), which imply rows 9 and 13 and rows 8 and 12, so rows 8-13 all hold
+without scanning the 4^n (X, Y) pairs. On any other table, such as a
+hand-edited one, the check fails and the plain scan runs; the scan stays
+the only finder of an (X, Y) witness, so the check never changes a
+result. There one-set rows are always scanned, and the check runs only
+when a two-set row is asked for.
 
 A column scan, ``scan_class_failures``, decides every member of a class
 at once by bit-slicing (Biham, "A fast new DES implementation in
@@ -58,12 +60,12 @@ suffixes, form one fixed plan, built at import; a batch evaluates only
 the plan's words that its pending rows read, each once, and the scan
 works that set out again only when a row is settled. A one-set row's
 fail mask is the OR of its inclusions' violations, and its lowest set
-bit among the class members names the row's minimal failing member.
-Rows 8-13 are decided by ``_morphisms`` computed on the sliced
-operators, reading u(X) and l(X) from the plan, and a member failing it
-is suspect for them. Only suspect members get
-``approx_tables`` and ``relation_failures``, which finds the witness, so
-verdicts and witnesses are those of a member-by-member scan.
+bit among the class members, ``k * 2^n + X``, is the row's witness: the
+minimal failing member k and its minimal X. Rows 8-13 are decided by
+``_morphisms`` computed on the sliced operators, reading u(X) and l(X)
+from the plan. Only members failing it get ``approx_tables`` and
+``relation_failures``, which finds the (X, Y) witness, so verdicts and
+witnesses are those of a member-by-member scan.
 
 A refuted verdict always carries the canonically minimal counterexample:
 smallest universe size, then smallest relation encoding, then smallest X
@@ -73,7 +75,6 @@ why verdicts are independent of worker scheduling.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import islice
@@ -578,32 +579,6 @@ class _Batch:
         return fails
 
 
-def _suspects(
-    batch: _Batch, mask: int, rows: Iterable[PropertyRow]
-) -> dict[int, list[PropertyRow]]:
-    """Member index -> the rows that may fail there first, per the sliced pass.
-
-    Only the positions in ``mask``, those of class members, count. A
-    one-set row is suspect at its minimal failing member only; the two-set
-    rows at every member failing the sliced morphism check.
-    """
-    suspects: dict[int, list[PropertyRow]] = defaultdict(list)
-    fail_masks = _fail_masks(batch.n)
-    values, ones = batch.values, batch.ones
-    two_set = []
-    for row in rows:
-        if row.two_set:
-            two_set.append(row)
-            continue
-        fails = fail_masks[row.index](values, ones) & mask
-        if fails:
-            suspects[next(_members(fails, batch.n))].append(row)
-    if two_set:
-        for k in _members(batch.morphism_failures() & mask, batch.n):
-            suspects[k] += two_set
-    return suspects
-
-
 def scan_class_failures(
     pairing: Pairing,
     relation_class: RelationClass,
@@ -614,10 +589,11 @@ def scan_class_failures(
 
     Rows with no counterexample up to ``max_n`` are absent from the result.
     Settles each row at the first failing relation of the class (sizes,
-    then encodings, ascending), with the minimal assignment inside it: the
-    bit-sliced pass names the candidates, and ``relation_failures`` on each,
-    in encoding order, decides them. A class without transitivity is
-    sliced over its cube's free bits; a transitive class is packed from
+    then encodings, ascending), with the minimal assignment inside it. A
+    one-set row's witness is the lowest set bit of its sliced fail mask;
+    the two-set rows ask ``relation_failures``, in encoding order, on each
+    member failing the sliced morphism check. A class without transitivity
+    is sliced over its cube's free bits; a transitive class is packed from
     its cube's members.
     """
     pending = {row.index: row for row in map(property_row, indices)}
@@ -636,21 +612,29 @@ def scan_class_failures(
             batches = _member_batches(n, cube)
         else:
             batches = _cube_batches(n, cube)
+        fail_masks = _fail_masks(n)
         for frame, bits, mask, encoding_of in batches:
             if needed is None:
                 needed = _needed(pending.values())
-            # not kept: its words are freed before the next batch is built
-            suspects = _suspects(
-                _Batch(frame, bits, pairing, needed), mask, pending.values()
-            )
-            for k in sorted(suspects):
+            batch = _Batch(frame, bits, pairing, needed)
+            for index in [index for index in pending if index in fail_masks]:
+                fails = fail_masks[index](batch.values, batch.ones) & mask
+                if fails:  # bit k * 2^n + X: member k fails at X, both minimal
+                    low = (fails & -fails).bit_length() - 1
+                    found[index] = (n, encoding_of(low >> n), low & full, None)
+                    del pending[index]
+                    needed = None  # the words of the rows left, at the next batch
+            two_set = [row for row in pending.values() if row.two_set]
+            suspects = batch.morphism_failures() & mask if two_set else 0
+            del batch  # its words are freed before the next batch is built
+            for k in _members(suspects, n):
                 encoding = encoding_of(k)
                 lo, up = approx_tables(n, rows_from_encoding(n, encoding), pairing)
-                asked = [row for row in suspects[k] if row.index in pending]
+                asked = [row for row in two_set if row.index in pending]
                 for index, (x, y) in relation_failures(asked, lo, up, full).items():
                     found[index] = (n, encoding, x, y)
                     del pending[index]
-                    needed = None  # the words of the rows left, at the next batch
+                    needed = None
             if not pending:
                 break
     return found

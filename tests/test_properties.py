@@ -551,7 +551,26 @@ class TestSlicedMorphismCheck:
             rows = list(class_rows(n, RelationClass.Rs))[k][1]
             return ((1 << n) - 1, *approx_tables(n, rows), indices)
 
-        assert failure_calls == [call(1, 0, [6]), call(1, 1, [10]), call(2, 1, [10])]
+        # row 6 is settled off its fail mask, with no table or call
+        assert failure_calls == [call(1, 1, [10]), call(2, 1, [10])]
+
+    def test_one_set_witnesses_come_off_the_fail_mask(
+        self, monkeypatch, failure_calls
+    ):
+        one_set = [row.index for row in PROPERTY_ROWS if not row.two_set]
+        cells = [(p, cls, 3) for p in PAIRINGS for cls in RelationClass]
+        cells.append((Pairing.PAWLAK, RelationClass.Rrst, 4))
+        expected = [reference_scan(p, cls.value, n, one_set) for p, cls, n in cells]
+        failure_calls.clear()  # the reference's own calls
+        tables = []
+        real = properties.approx_tables
+        monkeypatch.setattr(
+            properties, "approx_tables", lambda *args: tables.append(args) or real(*args)
+        )
+        for (pairing, cls, n), failures in zip(cells, expected):
+            found = scan_class_failures(pairing, cls, n, one_set)
+            assert found == failures, (pairing, cls)
+        assert failure_calls == [] and tables == []
 
     def test_failing_members_are_listed_once_each_in_order(self):
         # n=2, blocks of 4 bits: member 0 at X=1 and X=2, member 1 at X=0 only,
