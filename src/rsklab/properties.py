@@ -12,7 +12,7 @@ V, ignore X, and so have the witness X=∅; every other one-set row is a
 single inclusion. Two algebras read the same words, each compiled from
 them: each row's ``evaluate`` once, at import, over one relation's
 tables; and each row's fail mask once per size, over bit-sliced sets, on
-first use. Rows 8-13 keep their predicates.
+the first scan that asks for that row. Rows 8-13 keep their predicates.
 
 Row 13 is stated here as ``u(X∩Y) ⊆ u(X) ∩ u(Y)``; the reverse inclusion
 fails already for equivalence relations, so only this direction is
@@ -389,18 +389,31 @@ def _needed(rows: Iterable[PropertyRow]) -> tuple[int, ...]:
     return tuple(sorted(needed))
 
 
-@cache  # one per size a scan reaches
-def _fail_masks(n: int) -> dict[int, Callable[[Sequence[Sequence[int]], int], int]]:
-    """Per one-set row, its fail mask from a batch's plan values and ones:
-    the OR of every inclusion's violations, compiled to one expression."""
-    masks = {}
-    for index, terms in _ROW_TERMS.items():
+class _FailMasks(dict):
+    """Per one-set row index, its fail mask from a batch's plan values and
+    ones: the OR of every inclusion's violations, compiled to one expression
+    on the row's first lookup, so a scan compiles only the rows it asks for
+    and every later lookup is a dict hit."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, index: int) -> Callable[[Sequence[Sequence[int]], int], int]:
         test = " | ".join(
-            f"v[{p}][{w}] & (ones ^ v[{q}][{w}])" for p, q in terms for w in range(n)
+            f"v[{p}][{w}] & (ones ^ v[{q}][{w}])"
+            for p, q in _ROW_TERMS[index]
+            for w in range(self.n)
         )
         # the source holds only integer indices
-        masks[index] = eval(f"lambda v, ones: {test}")
-    return masks
+        mask = self[index] = eval(f"lambda v, ones: {test}")
+        return mask
+
+
+@cache  # one per size a scan reaches
+def _fail_masks(n: int) -> _FailMasks:
+    """The fail masks of the one-set rows at size n."""
+    return _FailMasks(n)
 
 
 # Bits per batch of the column scan: each int of the pass is 128 KB
@@ -617,7 +630,7 @@ def scan_class_failures(
             if needed is None:
                 needed = _needed(pending.values())
             batch = _Batch(frame, bits, pairing, needed)
-            for index in [index for index in pending if index in fail_masks]:
+            for index in [index for index in pending if index in _ROW_TERMS]:
                 fails = fail_masks[index](batch.values, batch.ones) & mask
                 if fails:  # bit k * 2^n + X: member k fails at X, both minimal
                     low = (fails & -fails).bit_length() - 1

@@ -15,12 +15,13 @@ right.
 
 Cells are independent, so table generation can fan out across worker
 processes; verdict minimality is defined by the canonical scan order, so
-reports are byte-identical for every worker count.
+reports are byte-identical for every worker count. The process pool and
+its modules are loaded only then, when more than one worker is asked
+for, so no other command pays for importing them.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -128,6 +129,9 @@ def generate_table(
     check_capacity(max_n)
     jobs = (repeat(pairing), TABLE_CLASSES, repeat(max_n))
     if workers > 1:
+        # imported here, so that a command without a pool never loads it
+        from concurrent.futures import ProcessPoolExecutor
+
         # one job per column; a larger pool would only start idle processes
         with ProcessPoolExecutor(max_workers=min(workers, len(TABLE_CLASSES))) as pool:
             columns = list(pool.map(class_verdicts, *jobs))

@@ -1,6 +1,10 @@
-"""Package modules use each other only through public names."""
+"""Package modules use each other only through public names, and importing
+the package loads no process pool."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +46,18 @@ def test_the_guard_catches_relative_and_absolute_private_imports():
         "line 2: from .properties import _joins",
         "line 3: from rsklab.tables import _hidden",
     ]
+
+
+def test_importing_the_package_and_cli_loads_no_process_pool():
+    # a fresh interpreter: this one may have loaded the pool for another test
+    probe = (
+        "import sys, rsklab, rsklab.cli\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
+        " if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -22,7 +22,12 @@ from rsklab import (
 )
 from rsklab import properties, relations
 from rsklab.operators import approx_tables
-from rsklab.properties import PROPERTY_ROWS, relation_failures, scan_class_failures
+from rsklab.properties import (
+    PROPERTY_ROWS,
+    class_verdicts,
+    relation_failures,
+    scan_class_failures,
+)
 from rsklab.relations import class_cube, class_rows, rows_from_encoding
 
 from oracles import (
@@ -201,6 +206,35 @@ class TestSearchClass:
             assert not eval_property(row, Pairing.NONDUAL, cex.relation, cex.x, cex.y)
 
 
+
+class TestTransposition:
+    """Mirror-nondual on R reads exactly the atoms nondual reads on R^T, and
+    every class but Rser is closed under transpose: a cross-check of the two
+    pairings against each other, not each against its own oracle."""
+
+    def test_mirror_verdicts_are_nondual_verdicts_of_the_transpose(self):
+        differ, replayed = [], 0
+        for relation_class in RelationClass:
+            mirror = class_verdicts(Pairing.MIRROR_NONDUAL, relation_class, 4)
+            nondual = class_verdicts(Pairing.NONDUAL, relation_class, 4)
+            for m, d in zip(mirror, nondual):
+                if m.refuted != d.refuted:
+                    differ.append((relation_class, m.row, m.status, d.status))
+                if not m.refuted:
+                    continue
+                cex = m.counterexample
+                check = check_relation(m.row, Pairing.NONDUAL, cex.relation.transpose())
+                assert (check.holds, check.x, check.y) == (False, cex.x, cex.y), (
+                    relation_class, m.row
+                )
+                replayed += 1
+        # Rser is not closed under transpose: its two cells differ, as a fact
+        assert differ == [
+            (RelationClass.Rser, 2, "refuted", "verified"),
+            (RelationClass.Rser, 5, "verified", "refuted"),
+        ]
+        assert replayed == 62
+
 PAIRINGS = [Pairing.DUAL_SUCC, Pairing.NONDUAL, Pairing.MIRROR_NONDUAL]
 
 
@@ -277,9 +311,11 @@ class TestCompiledKernels:
             frame = properties._Frame(n, len(listed))
             bits = properties._member_bits(frame, [encoding for encoding, _ in listed])
             batch = properties._Batch(frame, bits, pairing, everything)
+            one_set = [row.index for row in PROPERTY_ROWS if not row.two_set]
+            assert len(one_set) == 17
             fail_masks = {
-                index: mask(batch.values, batch.ones)
-                for index, mask in properties._fail_masks(n).items()
+                index: properties._fail_masks(n)[index](batch.values, batch.ones)
+                for index in one_set
             }
             for k, (_, rows) in enumerate(listed):
                 lo, up = approx_tables(n, rows, pairing)
@@ -295,6 +331,16 @@ class TestCompiledKernels:
                         assert bool(fails >> position & 1) == (not holds), (
                             n, rows, index, x
                         )
+
+    def test_a_scan_compiles_only_the_fail_masks_of_its_rows(self):
+        properties._fail_masks.cache_clear()
+        failures = scan_class_failures(Pairing.DUAL_SUCC, RelationClass.Rr, 4, [6, 15])
+        assert list(failures) == [15] and failures[15][0] == 3
+        # row 15 settles at n = 3, so n = 4 compiles row 6 alone
+        compiled = [sorted(properties._fail_masks(n)) for n in range(1, 5)]
+        assert compiled == [[6, 15], [6, 15], [6, 15], [6]]
+        mask = properties._fail_masks(4)[6]
+        assert properties._fail_masks(4)[6] is mask
 
     def test_a_scan_evaluates_only_the_words_of_its_pending_rows(self, monkeypatch):
         evaluated, calls = [], []

@@ -159,7 +159,7 @@ class TestDeterminism:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr("rsklab.tables.ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlineExecutor)
         report = generate_table(Pairing.DUAL_SUCC, 2, workers=64)
         assert sizes == [len(TABLE_CLASSES)] == [9]
         assert report_to_json(report) == report_to_json(
