@@ -3,10 +3,12 @@
 Every subcommand is a thin wrapper over the library: parse files, call
 one operation, return the report and the exit status. Each option and
 each subcommand is declared once, in ``_OPTIONS`` and ``_COMMANDS``, and
-the parser is built once per process. ``main`` alone serializes the
-report and writes it, to stdout or ``--output``. Exit status 0 on
-success/consistent/verified, 1 when a check is refuted or inconsistent
-(the report is still printed), 2 on input errors.
+the parsers are built once per process. Each command line is parsed by
+its own subcommand's parser alone (``parse_command``); the full parser
+runs only to report a line that no subparser takes whole. ``main`` alone
+serializes the report and writes it, to stdout or ``--output``. Exit
+status 0 on success/consistent/verified, 1 when a check is refuted or
+inconsistent (the report is still printed), 2 on input errors.
 """
 
 from __future__ import annotations
@@ -193,8 +195,8 @@ _COMMANDS = (
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process and shared."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each subcommand's own parser by name and alias."""
     parser = argparse.ArgumentParser(
         prog="rsklab",
         description="Exhaustive verification lab for rough-set approximation operators.",
@@ -208,11 +210,32 @@ def build_parser() -> argparse.ArgumentParser:
             kwargs = _OPTIONS[flag]
             p.add_argument(flag, required="default" not in kwargs, **kwargs)
         p.set_defaults(func=func)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared."""
+    return _parsers()[0]
+
+
+def parse_command(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed by the subparser its first word names, the same
+    ``Namespace`` that ``build_parser().parse_args(argv)`` gives.
+
+    The full parser runs only when no command comes first or the subparser
+    leaves an argument over, and then prints argparse's own usage and error.
+    """
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_command(sys.argv[1:] if argv is None else argv)
     try:
         report, code = args.func(args)
         if not isinstance(report, str):

@@ -33,7 +33,8 @@ from .relations import (
 
 def _load_json(path: str | Path) -> Any:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -89,42 +90,47 @@ def parse_universe(value: Any, context: str) -> Universe:
         raise InputError(f"{context}: {exc}") from None
 
 
-def resolve_element(universe: Universe, token: Any, context: str) -> int:
-    if isinstance(token, bool):
-        raise InputError(f"{context}: {token!r} is not an element")
-    if isinstance(token, int):
-        if not 0 <= token < universe.size:
-            raise InputError(f"{context}: index {token} out of range")
+def resolve_element(universe: Universe, token: Any) -> int:
+    """The index ``token`` names; an error names the token, callers its place."""
+    if type(token) is int and 0 <= token < universe.size:
         return token
+    if isinstance(token, bool):
+        raise InputError(f"{token!r} is not an element")
+    if isinstance(token, int):
+        raise InputError(f"index {token} out of range")
     if isinstance(token, str):
         try:
             return universe.index(token)
         except InputError:
-            raise InputError(f"{context}: unknown element {token!r}") from None
-    raise InputError(f"{context}: {token!r} is not an element")
+            raise InputError(f"unknown element {token!r}") from None
+    raise InputError(f"{token!r} is not an element")
 
 
 def _parse_pairs(universe: Universe, value: Any, context: str) -> list[tuple[int, int]]:
     if not isinstance(value, list):
         raise InputError(f"{context}: expected a list of pairs")
     pairs = []
-    for i, entry in enumerate(value):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise InputError(f"{context}[{i}]: a pair must be a 2-element list")
-        x = resolve_element(universe, entry[0], f"{context}[{i}]")
-        y = resolve_element(universe, entry[1], f"{context}[{i}]")
-        pairs.append((x, y))
+    try:
+        for i, entry in enumerate(value):
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise InputError("a pair must be a 2-element list")
+            pairs.append((resolve_element(universe, entry[0]),
+                          resolve_element(universe, entry[1])))
+    except InputError as exc:
+        raise InputError(f"{context}[{i}]: {exc}") from None
     return pairs
 
 
 def _parse_elements(universe: Universe, value: Any, context: str) -> Subset:
     if not isinstance(value, list):
         raise InputError(f"{context}: expected a list of elements")
-    members = [
-        resolve_element(universe, token, f"{context}[{i}]")
-        for i, token in enumerate(value)
-    ]
-    return Subset.of(universe, members)
+    bits = 0
+    try:
+        for i, token in enumerate(value):
+            bits |= 1 << resolve_element(universe, token)
+    except InputError as exc:
+        raise InputError(f"{context}[{i}]: {exc}") from None
+    return Subset(universe, bits)
 
 
 def load_relation(path: str | Path) -> BinaryRelation:

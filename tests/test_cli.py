@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import shlex
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from rsklab import Pairing, Subset, upper
-from rsklab.cli import build_parser, main
+from rsklab.cli import build_parser, main, parse_command
+from test_cli_golden import CASES, argv_of
 
 
 def write(tmp_path, name, obj):
@@ -225,15 +227,75 @@ class TestEncoding:
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_readme_command_lines_parse():
-    """Every ``rsklab`` line of README's "Command line" block parses."""
+def readme_command_lines():
+    """The argv of every ``rsklab`` line of README's "Command line" block."""
     block = README.read_text(encoding="utf-8").split("## Command line")[1]
     block = block.split("```sh\n")[1].split("```")[0]
     lines = [line for line in block.splitlines() if line.startswith("rsklab ")]
     assert len(lines) == 9
-    for line in lines:
-        argv = shlex.split(line)[1:]
+    return [shlex.split(line)[1:] for line in lines]
+
+
+def test_readme_command_lines_parse():
+    """Every ``rsklab`` line of README's "Command line" block parses."""
+    for argv in readme_command_lines():
         assert build_parser().parse_args(argv).command == argv[0]
+
+
+COMMAND_NAMES = ["classify", "approx", "table", "check", "counterexample",
+                 "characterize", "check-characterization", "covering", "logic"]
+CHECK = ["check", "--row", "1", "--pairing", "dual", "--relation", "r.json"]
+PARSE_CORPUS = [
+    *(CASES[name] for name in sorted(CASES)),
+    *readme_command_lines(),
+    ["check-characterization", "--id", "preorder", "--relation", "r.json"],
+    *([name, "-h"] for name in COMMAND_NAMES),
+    ["-h"],
+    ["--", *CHECK],
+    ["--output", "o.json", *CHECK],
+    [*CHECK, "--output", "o.json"],
+    [*CHECK[:1], "--", *CHECK[1:]],
+    [],
+    ["nosuch"],
+    ["check", "--row", "1"],
+    [*CHECK, "--bogus"],
+    [*CHECK, "extra"],
+    ["check", "--row", "x", "--pairing", "dual", "--relation", "r.json"],
+    ["check", "--row=-1", "--pai", "dual", "--relation", "r.json"],
+    ["table", "--pairing", "dual", "--max-n", "2", "--format", "csv"],
+]
+
+
+def parse_outcome(parse, argv, capsys):
+    """What parsing ``argv`` gives: its Namespace or exit code, stdout, stderr."""
+    try:
+        result = parse(list(argv))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=shlex.join)
+def test_one_level_parse_matches_the_full_parser(argv, capsys):
+    expected = parse_outcome(build_parser().parse_args, argv, capsys)
+    assert parse_outcome(parse_command, argv, capsys) == expected
+    assert isinstance(expected[0], argparse.Namespace) or expected[0][1] in (0, 2)
+
+
+def test_main_parses_with_one_subparser_call(monkeypatch, capsys):
+    """The full parser never runs on a command line its subparser takes."""
+    progs = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def record(self, args=None, namespace=None):
+        progs.append(self.prog)
+        return parse_known_args(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", record)
+    code, out, _ = run(capsys, argv_of("check_fails"))
+    assert progs == ["rsklab check"]
+    assert code == 1 and json.loads(out)["holds"] is False
 
 
 def test_readme_library_block_runs():

@@ -26,7 +26,9 @@ from rsklab import (
     upper,
     verify_reduction,
 )
+from rsklab.coverings import neighborhood_masks
 from rsklab.properties import PROPERTY_ROWS
+from rsklab.relations import class_rows
 from rsklab.tables import REFERENCE_NONDUAL, TABLE_CLASSES
 
 U3 = Universe(3)
@@ -213,6 +215,26 @@ class TestReduction:
     def test_reduction_holds_on_random_coverings(self, n, rng):
         covering = random_covering(rng, n)
         assert verify_reduction(covering)
+
+
+class TestNeighbourhoodSystems:
+    """The neighbourhood systems of coverings are exactly the pre-orders, so
+    a property of C_t checked on every pre-order holds for every covering."""
+
+    # the pre-orders on n labelled points: OEIS A000798
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 4), (3, 29), (4, 355)])
+    def test_coverings_induce_exactly_the_preorders(self, n, count):
+        systems = {tuple(neighborhood_masks(c)) for c in enumerate_coverings(n)}
+        assert systems == {rows for _, rows in class_rows(n, RelationClass.Rrt)}
+        assert len(systems) == count
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_reduction_holds_on_every_preorder(self, n):
+        universe = Universe(n)
+        for _, rows in class_rows(n, RelationClass.Rrt):
+            successor_sets = Covering.from_masks(universe, rows)
+            assert neighborhood_masks(successor_sets) == list(rows)
+            assert verify_reduction(successor_sets)
 
 
 class TestPropertyInheritance:

@@ -139,3 +139,94 @@ class TestSizeCeiling:
             tmp_path, "r.json", {"universe": {"size": MAX_INPUT_SIZE}, "pairs": []}
         )
         assert load_relation(path).universe.size == MAX_INPUT_SIZE
+
+
+# Each bad element token, with the message its element context gets.
+BAD_TOKENS = [
+    (True, "True is not an element"),
+    (3, "index 3 out of range"),
+    (-1, "index -1 out of range"),
+    ("z", "unknown element 'z'"),
+    (None, "None is not an element"),
+    (1.5, "1.5 is not an element"),
+    ([0], "[0] is not an element"),
+]
+LABELS = ["a", "b", "c"]
+
+
+def load_set(path):
+    return load_subset(path, Universe(3, tuple(LABELS)))
+
+
+# Each list of elements: its loader, and the file where that list holds one
+# good entry and then ``entry``.
+CONTAINERS = {
+    "pairs": (load_relation, lambda entry: {"universe": LABELS,
+                                            "pairs": [["a", "b"], entry]}),
+    "implies": (load_frame, lambda entry: {"propositions": LABELS,
+                                           "implies": [["a", "b"], entry]}),
+    "set": (load_set, lambda entry: {"set": ["a", entry]}),
+    "blocks": (load_covering, lambda entry: {"universe": LABELS,
+                                             "blocks": [LABELS, entry]}),
+}
+
+
+def load_message(tmp_path, loader, obj):
+    """The file written from ``obj`` and the whole message ``loader`` raises."""
+    path = write(tmp_path, "in.json", obj)
+    with pytest.raises(InputError) as exc:
+        loader(path)
+    return path, str(exc.value)
+
+
+def load_entry(tmp_path, container, entry):
+    loader, file_of = CONTAINERS[container]
+    return load_message(tmp_path, loader, file_of(entry))
+
+
+class TestExactMessages:
+    """The whole message of each malformed element, in every file format."""
+
+    @pytest.mark.parametrize("token, message", BAD_TOKENS, ids=repr)
+    @pytest.mark.parametrize("container", ["pairs", "implies"])
+    def test_bad_token_in_a_pair(self, tmp_path, container, token, message):
+        path, text = load_entry(tmp_path, container, ["a", token])
+        assert text == f"{path}: {container}[1]: {message}"
+
+    @pytest.mark.parametrize("token, message", BAD_TOKENS, ids=repr)
+    def test_bad_token_in_a_set(self, tmp_path, token, message):
+        path, text = load_entry(tmp_path, "set", token)
+        assert text == f"{path}: set[1]: {message}"
+
+    @pytest.mark.parametrize("token, message", BAD_TOKENS, ids=repr)
+    def test_bad_token_in_a_block(self, tmp_path, token, message):
+        path, text = load_entry(tmp_path, "blocks", ["a", token])
+        assert text == f"{path}: blocks[1][1]: {message}"
+
+    @pytest.mark.parametrize("entry", ["ab", {"a": "b"}, ["a"], ["a", "b", "c"]],
+                             ids=repr)
+    @pytest.mark.parametrize("container", ["pairs", "implies"])
+    def test_malformed_pair(self, tmp_path, container, entry):
+        path, text = load_entry(tmp_path, container, entry)
+        assert text == f"{path}: {container}[1]: a pair must be a 2-element list"
+
+    def test_block_that_is_not_a_list(self, tmp_path):
+        path, text = load_entry(tmp_path, "blocks", "a")
+        assert text == f"{path}: blocks[1]: expected a list of elements"
+
+    @pytest.mark.parametrize(
+        "loader, obj, message",
+        [
+            (load_relation, {"universe": LABELS, "pairs": "ab"},
+             "pairs: expected a list of pairs"),
+            (load_frame, {"propositions": LABELS, "implies": {}},
+             "implies: expected a list of pairs"),
+            (load_set, {"set": "a"}, "set: expected a list of elements"),
+            (load_covering, {"universe": LABELS, "blocks": "a"},
+             "blocks: expected a list of blocks"),
+        ],
+        ids=["pairs", "implies", "set", "blocks"],
+    )
+    def test_container_that_is_not_a_list(self, tmp_path, loader, obj, message):
+        path, text = load_message(tmp_path, loader, obj)
+        assert text == f"{path}: {message}"
