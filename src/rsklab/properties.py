@@ -19,20 +19,19 @@ fails already for equivalence relations, so only this direction is
 consistent with the all-ticked reference rows it has to reproduce.
 
 ``relation_failures`` decides every row on one relation's tables, for
-``check_relation`` and, in the column scan, for the two-set rows of a
-member failing the sliced morphism check. Every relational operator is a
-complete join morphism (upper) or meet morphism (lower), fixed by its
-values on atoms (Jónsson-Tarski). ``_morphisms`` checks the binary form
-of that once per relation, in O(2^n): ``u(X) = u(X minus a) ∪ u({a})``
-and ``l(-X) = l(-(X minus a)) ∩ l(-{a})`` for every nonempty X and its
-least element a. By induction on |X| this holds exactly when ``u``
-preserves binary unions (row 10) and ``l`` binary intersections (row
-11), which imply rows 9 and 13 and rows 8 and 12, so rows 8-13 all hold
-without scanning the 4^n (X, Y) pairs. On any other table, such as a
-hand-edited one, the check fails and the plain scan runs; the scan stays
-the only finder of an (X, Y) witness, so the check never changes a
-result. There one-set rows are always scanned, and the check runs only
-when a two-set row is asked for.
+``check_relation`` and ``check_biconditional``. Every relational
+operator is a complete join morphism (upper) or meet morphism (lower),
+fixed by its values on atoms (Jónsson-Tarski). ``_morphisms`` checks
+the binary form of that once per relation, in O(2^n):
+``u(X) = u(X minus a) ∪ u({a})`` and ``l(-X) = l(-(X minus a)) ∩ l(-{a})``
+for every nonempty X and its least element a. By induction on |X| this
+holds exactly when ``u`` preserves binary unions (row 10) and ``l``
+binary intersections (row 11), which imply rows 9 and 13 and rows 8 and
+12, so rows 8-13 all hold without scanning the 4^n (X, Y) pairs. On any
+other table, such as a hand-edited one, the check fails and the plain
+scan runs; the scan stays the only finder of an (X, Y) witness, so the
+check never changes a result. There one-set rows are always scanned,
+and the check runs only when a two-set row is asked for.
 
 A column scan, ``scan_class_failures``, decides every member of a class
 at once by bit-slicing (Biham, "A fast new DES implementation in
@@ -61,11 +60,11 @@ the plan's words that its pending rows read, each once, and the scan
 works that set out again only when a row is settled. A one-set row's
 fail mask is the OR of its inclusions' violations, and its lowest set
 bit among the class members, ``k * 2^n + X``, is the row's witness: the
-minimal failing member k and its minimal X. Rows 8-13 are decided by
-``_morphisms`` computed on the sliced operators, reading u(X) and l(X)
-from the plan. Only members failing it get ``approx_tables`` and
-``relation_failures``, which finds the (X, Y) witness, so verdicts and
-witnesses are those of a member-by-member scan.
+minimal failing member k and its minimal X. Rows 8-13 hold for every
+relation, so the scan asserts them: it computes ``_morphisms`` on the
+sliced operators, reading u(X) and l(X) from the plan, and a member
+failing it is an error in the sliced kernels, raised as an internal
+inconsistency, never a counterexample.
 
 A refuted verdict always carries the canonically minimal counterexample:
 smallest universe size, then smallest relation encoding, then smallest X
@@ -80,7 +79,7 @@ from functools import cache, cached_property
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, RskError
 from .operators import Pairing, approx_tables, sliced_operators
 from .relations import (
     BinaryRelation,
@@ -90,7 +89,6 @@ from .relations import (
     Universe,
     check_capacity,
     class_cube,
-    rows_from_encoding,
     tile,
 )
 
@@ -421,15 +419,6 @@ def _fail_masks(n: int) -> _FailMasks:
 _BATCH_BITS = 1 << 20
 
 
-def _members(mask: int, n: int) -> Iterator[int]:
-    """Ascending indices k of the members with a bit set in block k of ``mask``."""
-    while mask:
-        k = (mask & -mask).bit_length() - 1 >> n
-        yield k
-        end = (k + 1) << n
-        mask = mask >> end << end
-
-
 class _Frame:
     """The constant ints of the batches of ``count`` n-element relations.
 
@@ -545,6 +534,7 @@ class _Batch:
     A set is n ints, entry w holding the positions whose set contains w.
     ``values[p]`` is the set of the plan's word p at every position: each
     word in ``needed`` is evaluated once, in plan order, the others are None.
+    ``frame`` and ``ones`` are the frame's, for the checks that read them.
     """
 
     def __init__(
@@ -555,7 +545,7 @@ class _Batch:
         needed: Sequence[int],
     ):
         n, ones = frame.n, frame.ones
-        self.frame, self.n, self.width, self.ones = frame, n, frame.width, ones
+        self.frame, self.ones = frame, ones
         lower, upper = sliced_operators(pairing, n)
         sets = {"X": frame.sets, "∅": (0,) * n, "V": (ones,) * n}
         values: list = [None] * len(_PLAN)
@@ -601,13 +591,14 @@ def scan_class_failures(
     """Minimal counterexamples ``row -> (n, encoding, x, y)`` for the given rows.
 
     Rows with no counterexample up to ``max_n`` are absent from the result.
-    Settles each row at the first failing relation of the class (sizes,
-    then encodings, ascending), with the minimal assignment inside it. A
-    one-set row's witness is the lowest set bit of its sliced fail mask;
-    the two-set rows ask ``relation_failures``, in encoding order, on each
-    member failing the sliced morphism check. A class without transitivity
-    is sliced over its cube's free bits; a transitive class is packed from
-    its cube's members.
+    Settles each one-set row at the first failing relation of the class
+    (sizes, then encodings, ascending), with the minimal X inside it: the
+    lowest set bit of its sliced fail mask, so ``y`` is always None. Rows
+    8-13 hold for every relation and are never settled; while one is asked
+    for, every batch must pass the sliced morphism check, and a member
+    failing it raises ``RskError`` as an internal inconsistency. A class
+    without transitivity is sliced over its cube's free bits; a transitive
+    class is packed from its cube's members.
     """
     pending = {row.index: row for row in map(property_row, indices)}
     found: dict[int, tuple[int, int, int, int | None]] = {}
@@ -616,6 +607,7 @@ def scan_class_failures(
         raise PreconditionError(
             "the granule-based pairing is only searchable over class Rrst"
         )
+    morphisms = any(row.two_set for row in pending.values())
     for n in range(1, max_n + 1):
         if not pending:
             break
@@ -637,17 +629,14 @@ def scan_class_failures(
                     found[index] = (n, encoding_of(low >> n), low & full, None)
                     del pending[index]
                     needed = None  # the words of the rows left, at the next batch
-            two_set = [row for row in pending.values() if row.two_set]
-            suspects = batch.morphism_failures() & mask if two_set else 0
+            fails = batch.morphism_failures() & mask if morphisms else 0
             del batch  # its words are freed before the next batch is built
-            for k in _members(suspects, n):
-                encoding = encoding_of(k)
-                lo, up = approx_tables(n, rows_from_encoding(n, encoding), pairing)
-                asked = [row for row in two_set if row.index in pending]
-                for index, (x, y) in relation_failures(asked, lo, up, full).items():
-                    found[index] = (n, encoding, x, y)
-                    del pending[index]
-                    needed = None
+            if fails:
+                encoding = encoding_of((fails & -fails).bit_length() - 1 >> n)
+                raise RskError(
+                    f"internal inconsistency: relation {encoding} of size {n} "
+                    f"fails the sliced morphism check under {pairing.value}"
+                )
             if not pending:
                 break
     return found

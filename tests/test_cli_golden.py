@@ -24,6 +24,10 @@ CASES = {
         "counterexample", "--row", "6", "--pairing", "nondual", "--class", "Rr",
         "--max-n", "3",
     ],
+    "counterexample_two_set": [
+        "counterexample", "--row", "10", "--pairing", "nondual", "--class", "R",
+        "--max-n", "3",
+    ],
     "check_holds": [
         "check", "--row", "22", "--pairing", "nondual",
         "--relation", "{dir}/chain.json",

@@ -11,6 +11,7 @@ from rsklab import (
     Pairing,
     PreconditionError,
     RelationClass,
+    RskError,
     Subset,
     Universe,
     build_relation,
@@ -21,6 +22,7 @@ from rsklab import (
     search_class,
 )
 from rsklab import properties, relations
+from rsklab.cli import main
 from rsklab.operators import approx_tables
 from rsklab.properties import (
     PROPERTY_ROWS,
@@ -573,32 +575,40 @@ def failure_calls(monkeypatch):
 
 
 class TestSlicedMorphismCheck:
-    """Rows 8-13 in the column scan: decided by the morphism check computed
-    on the sliced operators, with ``relation_failures`` for the members that
-    fail it."""
+    """Rows 8-13 in the column scan: asserted by the morphism check computed
+    on the sliced operators, whose failure is an internal inconsistency."""
 
     def test_rows_8_to_13_need_no_member_tables(self, failure_calls):
         for cls in RelationClass:
             assert scan_class_failures(Pairing.DUAL_SUCC, cls, 3, TWO_SET_ROWS) == {}
         assert failure_calls == []
 
-    def test_a_failing_member_goes_to_relation_failures(
-        self, monkeypatch, failure_calls
+    def test_a_failing_member_is_an_internal_inconsistency(
+        self, monkeypatch, capsys, failure_calls
     ):
-        # the check fails at member 1 of every batch, whose block starts at 2^n
-        monkeypatch.setattr(
-            properties._Batch, "morphism_failures", lambda batch: 1 << batch.width
-        )
-        assert scan_class_failures(Pairing.DUAL_SUCC, RelationClass.Rs, 2, [6, 10]) == {
-            6: (1, 0, 0, None)
-        }
+        one_set = [6, 18, 23]
+        expected = scan_class_failures(Pairing.DUAL_SUCC, RelationClass.Rs, 3, one_set)
+        checked = []
 
-        def call(n, k, indices):
-            rows = list(class_rows(n, RelationClass.Rs))[k][1]
-            return ((1 << n) - 1, *approx_tables(n, rows), indices)
+        def failing(batch):
+            # member 1 of every batch fails at X = 0: its block starts at 2^n
+            checked.append(batch)
+            return 1 << batch.frame.width
 
-        # row 6 is settled off its fail mask, with no table or call
-        assert failure_calls == [call(1, 1, [10]), call(2, 1, [10])]
+        monkeypatch.setattr(properties._Batch, "morphism_failures", failing)
+        with pytest.raises(RskError, match="^internal inconsistency: relation 1 "):
+            scan_class_failures(Pairing.DUAL_SUCC, RelationClass.Rs, 2, [6, 10])
+        assert len(checked) == 1  # raised at the first batch
+        checked.clear()
+        found = scan_class_failures(Pairing.DUAL_SUCC, RelationClass.Rs, 3, one_set)
+        assert found == expected and checked == []
+        argv = ["counterexample", "--row", "10", "--pairing", "nondual"]
+        assert main([*argv, "--class", "R", "--max-n", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: internal inconsistency: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert failure_calls == []
 
     def test_one_set_witnesses_come_off_the_fail_mask(
         self, monkeypatch, failure_calls
@@ -618,11 +628,6 @@ class TestSlicedMorphismCheck:
             assert found == failures, (pairing, cls)
         assert failure_calls == [] and tables == []
 
-    def test_failing_members_are_listed_once_each_in_order(self):
-        # n=2, blocks of 4 bits: member 0 at X=1 and X=2, member 1 at X=0 only,
-        # member 3 at X=1 and X=3
-        assert list(properties._members(0b1010_0000_0001_0110, 2)) == [0, 1, 3]
-
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 3), st.data(), st.sampled_from(PAIRINGS))
     def test_equals_the_table_check_on_flipped_operators(self, n, data, pairing):
@@ -639,8 +644,11 @@ class TestSlicedMorphismCheck:
         batch.values[properties._PLAN.index((word, "X"))][w] ^= 1 << (k << n) + x
         lo, up = (list(table) for table in approx_tables(n, members[k][1], pairing))
         (lo if word == "l" else up)[x] ^= 1 << w
-        failing = list(properties._members(batch.morphism_failures(), n))
-        assert failing == ([] if properties._morphisms(lo, up, (1 << n) - 1) else [k])
+        fails = batch.morphism_failures()
+        block = fails >> (k << n) & (1 << (1 << n)) - 1
+        # only member k's block can fail, and it fails exactly when the table does
+        assert fails == block << (k << n)
+        assert bool(block) != properties._morphisms(lo, up, (1 << n) - 1)
 
 
 @pytest.fixture
