@@ -24,9 +24,9 @@ from .characterizations import Characterization, check_biconditional
 from .coverings import induced_relation, verify_reduction
 from .errors import InputError, RskError
 from .logic import deductive_closure, is_theory, largest_theory_within
-from .operators import Pairing, lower, successor_set, upper
+from .operators import Pairing, lower, upper
 from .properties import check_relation, search_class
-from .relations import RelationClass, classify
+from .relations import RelationClass, Subset, classify
 from .tables import generate_table, report_to_json, report_to_markdown, verdict_to_obj
 
 # A report is a JSON object, or the finished text of a table.
@@ -133,8 +133,8 @@ def _cmd_covering(args: argparse.Namespace) -> _Result:
     verified = verify_reduction(covering)
     universe = covering.universe
     neighborhoods = {
-        universe.label(x): rio.subset_to_labels(successor_set(relation, x))
-        for x in range(universe.size)
+        universe.label(x): rio.subset_to_labels(Subset(universe, row))
+        for x, row in enumerate(relation.rows)
     }
     return {
         "neighborhoods": neighborhoods,

@@ -2,6 +2,7 @@
 reduction to the non-dual pre-order operators."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from rsklab import (
     InputError,
     Pairing,
     RelationClass,
+    RskError,
     Subset,
     Universe,
     classify,
@@ -26,10 +28,14 @@ from rsklab import (
     upper,
     verify_reduction,
 )
-from rsklab.coverings import neighborhood_masks
+from rsklab import coverings
+from rsklab.cli import main
+from rsklab.coverings import definable_masks, neighborhood_masks
 from rsklab.properties import PROPERTY_ROWS
 from rsklab.relations import class_rows
 from rsklab.tables import REFERENCE_NONDUAL, TABLE_CLASSES
+
+GOLDEN_COVERING = Path(__file__).parent / "golden" / "cli" / "covering.json"
 
 U3 = Universe(3)
 OVERLAP = Covering(U3, (Subset.of(U3, [0, 1]), Subset.of(U3, [1, 2])))
@@ -216,6 +222,38 @@ class TestReduction:
         covering = random_covering(rng, n)
         assert verify_reduction(covering)
 
+    def test_tables_equal_the_pointwise_operators(self):
+        rng = random.Random(616263)
+        small = [c for n in (1, 2, 3) for c in enumerate_coverings(n)]
+        for covering in [*small, *(random_covering(rng, 5) for _ in range(20))]:
+            tables = coverings._ct_tables(
+                neighborhood_masks(covering), definable_masks(covering)
+            )
+            assert tables == ct_mask_tables(covering), covering
+
+    def test_disagreeing_upper_forms_are_an_internal_inconsistency(
+        self, monkeypatch, capsys
+    ):
+        # the definable family is the image of the kernel's upper table;
+        # adding the non-definable set {0} to it moves only the
+        # intersection form, at X = {0} (N(0) is larger in both coverings)
+        real = coverings.approx_tables
+
+        def tampered(n, rows, pairing):
+            lower_table, upper_table = real(n, rows, pairing)
+            upper_table[1] = 1
+            return lower_table, upper_table
+
+        monkeypatch.setattr(coverings, "approx_tables", tampered)
+        message = "^internal inconsistency: the two upper-approximation forms disagree$"
+        with pytest.raises(RskError, match=message):
+            verify_reduction(OVERLAP)
+        assert main(["covering", "--covering", str(GOLDEN_COVERING)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: internal inconsistency: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestNeighbourhoodSystems:
     """The neighbourhood systems of coverings are exactly the pre-orders, so
@@ -228,8 +266,10 @@ class TestNeighbourhoodSystems:
         assert systems == {rows for _, rows in class_rows(n, RelationClass.Rrt)}
         assert len(systems) == count
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_reduction_holds_on_every_preorder(self, n):
+    # 1, 4, 29, 355 and 6,942 pre-orders
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_reduction_holds_on_every_preorder(self, n, monkeypatch):
+        monkeypatch.setenv("RSK_MAX_N", "5")
         universe = Universe(n)
         for _, rows in class_rows(n, RelationClass.Rrt):
             successor_sets = Covering.from_masks(universe, rows)
