@@ -83,7 +83,12 @@ def definable_masks(covering: Covering) -> list[int]:
     Contains the empty union and the whole universe; sorted ascending. A
     covering with k distinct neighbourhoods costs a 2^k join table.
     """
-    return sorted(set(join_table(sorted(set(neighborhood_masks(covering))))))
+    return _definable(neighborhood_masks(covering))
+
+
+def _definable(neigh: list[int]) -> list[int]:
+    """``definable_masks`` from the neighbourhoods N(x)."""
+    return sorted(set(join_table(sorted(set(neigh)))))
 
 
 def definable_family(covering: Covering) -> list[Subset]:
@@ -140,7 +145,7 @@ def ct_upper(covering: Covering, x_set: Subset) -> Subset:
     if x_set.universe != covering.universe:
         raise InputError("set and covering belong to different universes")
     neigh = neighborhood_masks(covering)
-    _, upper_bits = _ct(neigh, x_set.bits, definable_masks(covering))
+    _, upper_bits = _ct(neigh, x_set.bits, _definable(neigh))
     return Subset(covering.universe, upper_bits)
 
 

@@ -12,7 +12,8 @@ V, ignore X, and so have the witness X=∅; every other one-set row is a
 single inclusion. Two algebras read the same words, each compiled from
 them: each row's ``evaluate`` once, at import, over one relation's
 tables; and each row's fail mask once per size, over bit-sliced sets, on
-the first scan that asks for that row. Rows 8-13 keep their predicates.
+the first scan that asks for that row. Rows 8-13 keep their predicates,
+which only ``eval_property`` reads.
 
 Row 13 is stated here as ``u(X∩Y) ⊆ u(X) ∩ u(Y)``; the reverse inclusion
 fails already for equivalence relations, so only this direction is
@@ -27,11 +28,11 @@ the binary form of that once per relation, in O(2^n):
 for every nonempty X and its least element a. By induction on |X| this
 holds exactly when ``u`` preserves binary unions (row 10) and ``l``
 binary intersections (row 11), which imply rows 9 and 13 and rows 8 and
-12, so rows 8-13 all hold without scanning the 4^n (X, Y) pairs. On any
-other table, such as a hand-edited one, the check fails and the plain
-scan runs; the scan stays the only finder of an (X, Y) witness, so the
-check never changes a result. There one-set rows are always scanned,
-and the check runs only when a two-set row is asked for.
+12, so rows 8-13 all hold without scanning the 4^n (X, Y) pairs. Both
+paths assert rows 8-13 rather than search them: here the check runs
+once per call that asks for a two-set row, and tables failing it, which
+no relation has, raise an internal inconsistency; one-set rows are
+scanned for their least failing X.
 
 A column scan, ``scan_class_failures``, decides every member of a class
 at once by bit-slicing (Biham, "A fast new DES implementation in
@@ -68,7 +69,7 @@ inconsistency, never a counterexample.
 
 A refuted verdict always carries the canonically minimal counterexample:
 smallest universe size, then smallest relation encoding, then smallest X
-bitmask, then smallest Y. Searches scan in exactly that order, which is
+bitmask. Searches scan in exactly that order, which is
 why verdicts are independent of worker scheduling.
 """
 
@@ -249,29 +250,27 @@ def eval_property(
 
 def relation_failures(
     rows: Iterable[PropertyRow], lo: Sequence[int], up: Sequence[int], full: int
-) -> dict[int, tuple[int, int | None]]:
-    """Minimal failing assignment (X asc, then Y asc) of each failing row.
+) -> dict[int, int]:
+    """The least failing X of each failing one-set row.
 
     ``lo`` and ``up`` are one relation's tables; rows that hold are absent.
+    Rows 8-13 hold for every relation and are never in the result: while
+    one is asked for, the tables must pass ``_morphisms``, and tables
+    failing it raise ``RskError`` as an internal inconsistency.
     """
-    failures: dict[int, tuple[int, int | None]] = {}
-    morphisms = None
+    rows = list(rows)
+    if any(row.two_set for row in rows) and not _morphisms(lo, up, full):
+        raise RskError(
+            "internal inconsistency: the operator tables fail the morphism check"
+        )
+    failures: dict[int, int] = {}
     for row in rows:
+        if row.two_set:
+            continue
         evaluate = row.evaluate
-        if not row.two_set:
-            for x in range(full + 1):
-                if not evaluate(lo, up, full, x, 0):
-                    failures[row.index] = (x, None)
-                    break
-            continue
-        if morphisms is None:
-            morphisms = _morphisms(lo, up, full)
-        if morphisms:
-            continue
         for x in range(full + 1):
-            y = next((y for y in range(full + 1) if not evaluate(lo, up, full, x, y)), None)
-            if y is not None:
-                failures[row.index] = (x, y)
+            if not evaluate(lo, up, full, x, 0):
+                failures[row.index] = x
                 break
     return failures
 
@@ -284,7 +283,7 @@ class RelationCheck:
     pairing: Pairing
     holds: bool
     x: Subset | None = None
-    y: Subset | None = None
+    y: Subset | None = None  # always None: rows 8-13 are never refuted
 
 
 def check_relation(
@@ -293,24 +292,17 @@ def check_relation(
     """Quantify one row over every subset assignment of one relation."""
     row = property_row(index)
     lo, up = approx_tables(relation.universe.size, relation.rows, pairing)
-    failure = relation_failures([row], lo, up, relation.universe.full_mask).get(index)
-    if failure is None:
+    x_bits = relation_failures([row], lo, up, relation.universe.full_mask).get(index)
+    if x_bits is None:
         return RelationCheck(index, pairing, True)
-    x_bits, y_bits = failure
-    return RelationCheck(
-        index,
-        pairing,
-        False,
-        Subset(relation.universe, x_bits),
-        None if y_bits is None else Subset(relation.universe, y_bits),
-    )
+    return RelationCheck(index, pairing, False, Subset(relation.universe, x_bits))
 
 
 @dataclass(frozen=True)
 class Counterexample:
     relation: BinaryRelation
     x: Subset
-    y: Subset | None = None
+    y: Subset | None = None  # always None: rows 8-13 are never refuted
 
 
 @dataclass(frozen=True)
@@ -659,12 +651,11 @@ def class_verdicts(
     for index in indices:
         cex = None
         if index in failures:
-            n, encoding, x_bits, y_bits = failures[index]
+            n, encoding, x_bits, _ = failures[index]
             universe = Universe(n)
             cex = Counterexample(
                 BinaryRelation.from_encoding(universe, encoding),
                 Subset(universe, x_bits),
-                None if y_bits is None else Subset(universe, y_bits),
             )
         verdicts.append(PropertyVerdict(index, pairing, relation_class, max_n, cex))
     return verdicts

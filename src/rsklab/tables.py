@@ -178,8 +178,6 @@ def verdict_to_obj(verdict: PropertyVerdict) -> dict:
             "pairs": [list(pair) for pair in cex.relation.pairs()],
         }
         obj["counterexample"] = {"relation": relation, "x": list(cex.x.members())}
-        if cex.y is not None:
-            obj["counterexample"]["y"] = list(cex.y.members())
     return obj
 
 

@@ -227,7 +227,8 @@ ONE_SET_PREDICATES = {
 
 
 def plain_failures(rows, lo, up, full):
-    """``relation_failures`` without the morphism check: every row scanned.
+    """``relation_failures`` with rows 8-13 scanned, not asserted: every
+    row is scanned over its assignments.
 
     X ascending, then Y ascending; each failing row maps to its first
     failing assignment, with Y None for one-set rows.
@@ -246,8 +247,8 @@ def reference_scan(pairing, tag: str, max_n: int, indices):
     """``scan_class_failures`` over the oracle-filtered class enumeration.
 
     Sizes, then encodings, ascending; each row is settled by the first
-    member with a failing assignment, found by the package's
-    ``approx_tables`` and ``relation_failures``.
+    member with a failing X, found by the package's ``approx_tables`` and
+    ``relation_failures``, so Y is always None.
     """
     from rsklab.operators import approx_tables
     from rsklab.properties import property_row, relation_failures
@@ -262,8 +263,8 @@ def reference_scan(pairing, tag: str, max_n: int, indices):
             rows = [encoding >> n * x & full for x in range(n)]
             lo, up = approx_tables(n, rows, pairing)
             failures = relation_failures(pending.values(), lo, up, full)
-            for index, failure in failures.items():
-                found[index] = (n, encoding, *failure)
+            for index, x in failures.items():
+                found[index] = (n, encoding, x, None)
                 del pending[index]
             if not pending:
                 break

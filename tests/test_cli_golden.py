@@ -36,6 +36,10 @@ CASES = {
         "check", "--row", "18", "--pairing", "dual",
         "--relation", "{dir}/chain.json",
     ],
+    "check_two_set": [
+        "check", "--row", "10", "--pairing", "nondual",
+        "--relation", "{dir}/chain.json",
+    ],
     "approx_dual_lower": [
         "approx", "--pairing", "dual", "--op", "lower",
         "--relation", "{dir}/chain.json", "--set", "{dir}/set.json",

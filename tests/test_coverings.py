@@ -115,6 +115,21 @@ class TestCtOperators:
         assert ct_upper(OVERLAP, Subset.of(U3, [0])).members() == (0, 1)
         assert ct_upper(OVERLAP, Subset.empty(U3)) == Subset.empty(U3)
 
+    def test_upper_builds_the_neighbourhoods_once_and_checks_both_forms(
+        self, monkeypatch
+    ):
+        calls = []
+        real = coverings.neighborhood_masks
+        monkeypatch.setattr(
+            coverings, "neighborhood_masks", lambda c: calls.append(c) or real(c)
+        )
+        assert ct_upper(OVERLAP, Subset.of(U3, [0])).members() == (0, 1)
+        assert calls == [OVERLAP]
+        # the intersection form still runs, over the family built from them
+        monkeypatch.setattr(coverings, "_definable", lambda neigh: [U3.full_mask])
+        with pytest.raises(RskError, match="^internal inconsistency: "):
+            ct_upper(OVERLAP, Subset.of(U3, [0]))
+
     def test_partition_covering_reduces_to_granule_operators(self):
         parts = Covering(U3, (Subset.of(U3, [0, 1]), Subset.of(U3, [2])))
         equivalence = induced_relation(parts)

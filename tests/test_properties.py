@@ -1,6 +1,9 @@
 """Property rows: single-assignment evaluation, per-relation quantification
 and the class-wide counterexample search."""
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -44,6 +47,8 @@ CHAIN = build_relation(U3, [(0, 1), (1, 2)])
 IDENTITY3 = build_relation(U3, [(i, i) for i in range(3)])
 
 TWO_SET_ROWS = {8, 9, 10, 11, 12, 13}
+
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
 
 
 class TestCatalog:
@@ -665,9 +670,14 @@ def morphism_calls(monkeypatch):
     return calls
 
 
+def least_xs(failures):
+    """``plain_failures`` in the shape of ``relation_failures``: row -> X."""
+    return {index: x for index, (x, _) in failures.items()}
+
+
 class TestRelationFailures:
-    """One decision step per relation: the morphism check settles rows 8-13,
-    and the plain scan finds every witness."""
+    """One decision step per relation: the morphism check asserts rows 8-13,
+    and the one-set scan finds every witness."""
 
     @pytest.mark.parametrize("pairing", PAIRINGS)
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -675,8 +685,8 @@ class TestRelationFailures:
         full = (1 << n) - 1
         for encoding in range(1 << n * n):
             lo, up = approx_tables(n, rows_from_encoding(n, encoding), pairing)
-            assert relation_failures(PROPERTY_ROWS, lo, up, full) == plain_failures(
-                PROPERTY_ROWS, lo, up, full
+            assert relation_failures(PROPERTY_ROWS, lo, up, full) == least_xs(
+                plain_failures(PROPERTY_ROWS, lo, up, full)
             )
 
     def test_morphism_check_runs_once_per_call_with_two_set_rows(
@@ -685,10 +695,11 @@ class TestRelationFailures:
         lo, up = approx_tables(3, CHAIN.rows, Pairing.DUAL_SUCC)
         relation_failures(PROPERTY_ROWS, lo, up, 0b111)
         assert len(morphism_calls) == 1
-        # a failed check falls back to the scan without checking again
+        # a failed check raises, also with every two-set row asked
         up = [0b00, 0b00, 0b00, 0b11]
         rows = [property_row(index) for index in sorted(TWO_SET_ROWS)]
-        assert relation_failures(rows, up, up, 0b11)
+        with pytest.raises(RskError, match="^internal inconsistency: "):
+            relation_failures(rows, up, up, 0b11)
         assert len(morphism_calls) == 2
 
     def test_one_set_rows_never_run_the_morphism_check(self, morphism_calls):
@@ -701,8 +712,9 @@ class TestRelationFailures:
 
 
 class TestTwoSetCertificates:
-    """Rows 8-13 are decided by the O(2^n) morphism check; the 4^n scan runs
-    only when it fails, and must still return the minimal (X, Y)."""
+    """Rows 8-13 are asserted by the O(2^n) morphism check; tables failing
+    it are an internal inconsistency, and only the oracle scans their 4^n
+    (X, Y) pairs."""
 
     def test_rows_8_to_13_carry_a_certificate(self, morphism_calls):
         lo, up = approx_tables(2, (0b01, 0b11), Pairing.DUAL_SUCC)
@@ -726,7 +738,7 @@ class TestTwoSetCertificates:
         encoding = data.draw(st.integers(0, (1 << (n * n)) - 1))
         lo, up = approx_tables(n, rows_from_encoding(n, encoding), pairing)
         full = (1 << n) - 1
-        # every relational operator passes, so the scan never runs here
+        # every relational operator passes, so nothing raises here
         assert properties._morphisms(lo, up, full)
         for index in sorted(TWO_SET_ROWS):
             row = property_row(index)
@@ -741,7 +753,7 @@ class TestTwoSetCertificates:
             [Pairing.DUAL_SUCC, Pairing.NONDUAL, Pairing.MIRROR_NONDUAL]
         ),
     )
-    def test_fallback_finds_the_minimal_pair_on_flipped_tables(
+    def test_flipped_tables_failing_a_row_are_an_internal_inconsistency(
         self, n, data, pairing
     ):
         encoding = data.draw(st.integers(0, (1 << (n * n)) - 1))
@@ -753,22 +765,65 @@ class TestTwoSetCertificates:
             st.integers(0, n - 1)
         )
         rows = [property_row(index) for index in sorted(TWO_SET_ROWS)]
-        expected = [plain_failures([row], lo, up, full).get(row.index) for row in rows]
-        assume(any(failure is not None for failure in expected))
-        for row, failure in zip(rows, expected):
-            assert relation_failures([row], lo, up, full).get(row.index) == failure
-            if failure is not None:
-                assert not properties._morphisms(lo, up, full)
+        assume(plain_failures(rows, lo, up, full))
+        # the check misses no failing pair: every two-set row asked raises
+        assert not properties._morphisms(lo, up, full)
+        for row in rows:
+            with pytest.raises(RskError, match="^internal inconsistency: "):
+                relation_failures([row], lo, up, full)
+        # and the one-set rows are still scanned, without the check
+        one_set = [row for row in PROPERTY_ROWS if not row.two_set]
+        assert relation_failures(one_set, lo, up, full) == least_xs(
+            plain_failures(one_set, lo, up, full)
+        )
 
-    def test_failing_row_reports_both_sets(self):
+    def test_hand_made_failing_tables_are_an_internal_inconsistency(self):
         # no relation fails rows 8-13 under any pairing, so the tables are
         # made by hand: u maps both singletons of {0, 1} to the empty set and
         # the whole universe to itself; monotone but not additive
         lo = up = [0b00, 0b00, 0b00, 0b11]
-        assert relation_failures([property_row(10)], lo, up, 0b11) == {10: (0b01, 0b10)}
-        assert relation_failures([property_row(9)], lo, up, 0b11) == {}
-        assert relation_failures([property_row(13)], lo, up, 0b11) == {}
+        assert plain_failures([property_row(10)], lo, up, 0b11) == {10: (0b01, 0b10)}
+        assert plain_failures([property_row(9)], lo, up, 0b11) == {}
+        assert plain_failures([property_row(13)], lo, up, 0b11) == {}
+        for index in (9, 10, 13):
+            with pytest.raises(RskError, match="^internal inconsistency: "):
+                relation_failures([property_row(index)], lo, up, 0b11)
         # the dual table l(X) = -u(-X) is monotone but not multiplicative
         lo = [0b00, 0b11, 0b11, 0b11]
-        assert relation_failures([property_row(11)], lo, up, 0b11) == {11: (0b01, 0b10)}
-        assert relation_failures([property_row(8)], lo, up, 0b11) == {}
+        assert plain_failures([property_row(11)], lo, up, 0b11) == {11: (0b01, 0b10)}
+        assert plain_failures([property_row(8)], lo, up, 0b11) == {}
+        for index in (8, 11):
+            with pytest.raises(RskError, match="^internal inconsistency: "):
+                relation_failures([property_row(index)], lo, up, 0b11)
+        # a one-set row on the same tables reports its least X
+        assert relation_failures([property_row(7)], lo, up, 0b11) == {7: 0b01}
+
+    def test_check_reports_failing_tables_as_an_internal_inconsistency(
+        self, monkeypatch, capsys
+    ):
+        real = properties.approx_tables
+        flips = []
+
+        def flipped(n, rows, pairing):
+            # u(V) loses element 0, so u(V) = u(V minus {0}) ∪ u({0}) fails
+            lo, up = real(n, rows, pairing)
+            up = [*up[:-1], up[-1] ^ 1]
+            flips.append((lo, up))
+            return lo, up
+
+        monkeypatch.setattr(properties, "approx_tables", flipped)
+        chain = str(GOLDEN_CLI / "chain.json")
+        argv = ["check", "--pairing", "nondual", "--relation", chain]
+        assert main([*argv, "--row", "10"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: internal inconsistency: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        # a one-set row on the same tables reports its least X
+        assert main([*argv, "--row", "18"]) == 1
+        out, err = capsys.readouterr()
+        lo, up = flips[-1]
+        x = plain_failures([property_row(18)], lo, up, 0b1111)[18][0]
+        assert err == "" and json.loads(out)["counterexample"] == {
+            "x": [label for i, label in enumerate("abcd") if x >> i & 1]
+        }
