@@ -23,16 +23,19 @@ consistent with the all-ticked reference rows it has to reproduce.
 ``check_relation`` and ``check_biconditional``. Every relational
 operator is a complete join morphism (upper) or meet morphism (lower),
 fixed by its values on atoms (Jónsson-Tarski). ``_morphisms`` checks
-the binary form of that once per relation, in O(2^n):
-``u(X) = u(X minus a) ∪ u({a})`` and ``l(-X) = l(-(X minus a)) ∩ l(-{a})``
-for every nonempty X and its least element a. By induction on |X| this
-holds exactly when ``u`` preserves binary unions (row 10) and ``l``
-binary intersections (row 11), which imply rows 9 and 13 and rows 8 and
-12, so rows 8-13 all hold without scanning the 4^n (X, Y) pairs. Both
-paths assert rows 8-13 rather than search them: here the check runs
-once per call that asks for a two-set row, and tables failing it, which
-no relation has, raise an internal inconsistency; one-set rows are
-scanned for their least failing X.
+exactly that once per relation, in O(2^n): at every X, ∅ and V included,
+u(X) is the union of u({a}) over a in X, and l(X) the intersection of
+l(V minus {a}) over a not in X. It takes u(∅) = ∅ and l(V) = V, then
+adds one atom at a time: ``u(X) = u(X minus a) ∪ u({a})`` and
+``l(-X) = l(-(X minus a)) ∩ l(-{a})`` for a the least element of X. So u
+preserves every union (row 10, which implies rows 9 and 13) and l every
+intersection (row 11, which implies rows 8 and 12), and rows 8-13 all
+hold without scanning the 4^n (X, Y) pairs; the check asserts rows 3 and
+4 too, which are still scanned as one-set rows. Both paths assert rows
+8-13 rather than search them: here the check runs once per call that
+asks for a two-set row, and tables failing it, which no relation has,
+raise an internal inconsistency; one-set rows are scanned for their
+least failing X.
 
 A column scan, ``scan_class_failures``, decides every member of a class
 at once by bit-slicing (Biham, "A fast new DES implementation in
@@ -40,13 +43,13 @@ software", FSE 1997; Knuth, TAOCP 4A, "Bitwise tricks and techniques").
 For each size it takes batches of relations, in encoding order, as ints
 of ``_BATCH_BITS`` bits, where bit ``k * 2^n + X`` stands for relation k
 of the batch at subset X, and each relation bit (x, y) is one int. The
-ints that depend only on the size and the batch length (the sets X, the
-masks of the morphism check, the cube's index variables and tables) are
-built once per process and shared, read-only, by every scan: a few
-frames of ints of up to 128 KB per size, 29 frames and about 10 MB after
-an n≤5 table. Every class is the members of a cube over its free
-encoding bits (``relations.class_cube``), with cube order equal to
-encoding order. A class without transitivity is sliced as its cube: a
+ints that depend only on the size and the batch length (the sets X and
+the cube's index variables and tables) are built once per process and
+shared, read-only, by every scan: a few frames of ints of up to 128 KB
+per size, 29 frames and about 3 MB after an n≤5 table. Every class is
+the members of a cube over its free encoding bits
+(``relations.class_cube``), with cube order equal to encoding order. A
+class without transitivity is sliced as its cube: a
 batch's low free bits are fixed tilings, its top free bits constant 0 or
 all-ones ints, and a serial class's members a mask computed from them. A
 transitive class fills too little of its cube (0.5% for Rt at n=5) to be
@@ -63,9 +66,10 @@ fail mask is the OR of its inclusions' violations, and its lowest set
 bit among the class members, ``k * 2^n + X``, is the row's witness: the
 minimal failing member k and its minimal X. Rows 8-13 hold for every
 relation, so the scan asserts them: it computes ``_morphisms`` on the
-sliced operators, reading u(X) and l(X) from the plan, and a member
-failing it is an error in the sliced kernels, raised as an internal
-inconsistency, never a counterexample.
+sliced operators, reading u(X) and l(X) from the plan and each member's
+u({a}) and l(V minus {a}) off its own block, and a member failing it is
+an error in the sliced kernels, raised as an internal inconsistency,
+never a counterexample.
 
 A refuted verdict always carries the canonically minimal counterexample:
 smallest universe size, then smallest relation encoding, then smallest X
@@ -76,7 +80,7 @@ why verdicts are independent of worker scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -153,7 +157,10 @@ def _subset(a: int, b: int) -> bool:
 
 
 def _morphisms(lo, up, full):
-    """u preserves binary unions and l binary intersections (rows 10, 11)."""
+    """u is the union of its values on singletons and l the intersection of
+    its values on co-singletons, at every X: a complete join (meet) morphism."""
+    if up[0] != 0 or lo[full] != full:
+        return False
     for x in range(1, full + 1):
         a = x & -x
         if up[x] != up[x ^ a] | up[a]:
@@ -255,8 +262,10 @@ def relation_failures(
 
     ``lo`` and ``up`` are one relation's tables; rows that hold are absent.
     Rows 8-13 hold for every relation and are never in the result: while
-    one is asked for, the tables must pass ``_morphisms``, and tables
-    failing it raise ``RskError`` as an internal inconsistency.
+    one is asked for, the tables must pass ``_morphisms`` (u the union of
+    its values on singletons and l the intersection of its values on
+    co-singletons, at every X), and tables failing it raise ``RskError``
+    as an internal inconsistency.
     """
     rows = list(rows)
     if any(row.two_set for row in rows) and not _morphisms(lo, up, full):
@@ -418,9 +427,8 @@ class _Frame:
     constant repeats one 2^n-bit block per member. Frames come from
     ``_frame``, one per (size, batch length) for the life of the process,
     shared by every scan and never changed: their ints are read-only, held
-    in tuples. A frame holds n + 2 ints, and 4n more once a two-set row
-    asks for ``steps``, each of ``count * 2^n`` bits (128 KB at a whole
-    batch).
+    in tuples. A frame holds n + 2 ints, each of ``count * 2^n`` bits
+    (128 KB at a whole batch).
     """
 
     def __init__(self, n: int, count: int):
@@ -430,28 +438,6 @@ class _Frame:
         self.starts = self.where(lambda x: x == 0)
         # the set X itself: entry e holds the positions whose X contains e
         self.sets = tuple(self.where(lambda x, e=e: x >> e & 1) for e in range(n))
-
-    @cached_property
-    def steps(self) -> tuple[tuple[int, ...], ...]:
-        """Per element a, the masks of the morphism check at a.
-
-        Built on first use: a scan without a two-set row never needs them.
-        """
-        steps = []
-        for a in range(self.n):
-            step, low = 1 << a, (2 << a) - 1
-            co_step = self.width - 1 - step  # the subset V minus {a}
-            steps.append(
-                (
-                    step,
-                    self.where(lambda x: x & low == step),
-                    self.where(lambda x: x == step),
-                    co_step,
-                    self.where(lambda z: z & low == step - 1),
-                    self.where(lambda z: z == co_step),
-                )
-            )
-        return tuple(steps)
 
     def where(self, holds: Callable[[int], bool]) -> int:
         """The positions, in every member, of the subsets X with ``holds(X)``."""
@@ -556,21 +542,21 @@ class _Batch:
     def morphism_failures(self) -> int:
         """The positions where ``_morphisms`` fails, on the sliced operators.
 
-        At position X (a the least element of X) u fails when u(X) differs
-        from u(X minus a) ∪ u({a}); at position Z (a the least element not
-        in Z) l fails when l(Z) differs from l(Z ∪ {a}) ∩ l(V minus {a}),
-        which is ``_morphisms``' lower check at Z = -X.
+        At position X, u fails when u(X) differs from the union of u({a})
+        over a in X, and l fails when l(X) differs from the intersection of
+        l(V minus {a}) over a not in X; so at X = ∅, u(∅) must be ∅, and at
+        X = V, l(V) must be V. A member's u({a}) is read off its block at
+        position {a} and widened to the whole block, as is its l(V minus {a}).
         """
-        up, lo = self.values[_UX], self.values[_LX]
-        fill = self.frame.fill
+        frame, ones = self.frame, self.ones
+        fill, starts, full = frame.fill, frame.starts, frame.width - 1
         fails = 0
-        for step, least, atom, co_step, co_least, coatom in self.frame.steps:
-            for u in up:
-                joined = u << step | fill((u & atom) >> step)
-                fails |= least & (u ^ joined)
-            for l in lo:
-                met = l >> step & fill((l & coatom) >> co_step)
-                fails |= co_least & (l ^ met)
+        for u, l in zip(self.values[_UX], self.values[_LX]):
+            joined, met = 0, ones
+            for a, s in enumerate(frame.sets):
+                joined |= s & fill(u >> (1 << a) & starts)
+                met &= s | fill(l >> (full ^ 1 << a) & starts)
+            fails |= u ^ joined | l ^ met
         return fails
 
 

@@ -1,6 +1,8 @@
 """Property rows: single-assignment evaluation, per-relation quantification
 and the class-wide counterexample search."""
 
+import copy
+import functools
 import json
 from pathlib import Path
 
@@ -552,8 +554,18 @@ class TestSharedConstants:
 
     def test_shared_constants_are_read_only(self):
         frames = [properties._frame(n, 1 << n) for n in range(1, 4)]
+        # a scan asserting rows 8-13 adds nothing to the frames it reads: each
+        # holds its sizes and its n + 2 ints, ones, starts and the sets X
+        assert scan_class_failures(Pairing.DUAL_SUCC, RelationClass.R, 3, [10]) == {}
+        frames += [
+            frame
+            for n in range(1, 4)
+            for frame, *_ in properties._cube_batches(n, class_cube(n, RelationClass.R))
+        ]
+        held = {"n", "width", "count", "ones", "starts", "sets"}
         for frame in frames:
-            assert isinstance(frame.sets, tuple) and isinstance(frame.steps, tuple)
+            assert vars(frame).keys() == held
+            assert isinstance(frame.sets, tuple) and len(frame.sets) == frame.n
         x_word = properties._PLAN.index(("", "X"))
         batch = properties._Batch(frames[0], [[0]], Pairing.DUAL_SUCC, [x_word])
         assert batch.values[x_word] is frames[0].sets
@@ -633,27 +645,81 @@ class TestSlicedMorphismCheck:
             assert found == failures, (pairing, cls)
         assert failure_calls == [] and tables == []
 
+    def test_the_empty_and_the_full_set_are_checked(self):
+        # the full relation on 2 elements, encoding 15, is member 15 of R
+        n, k, full = 2, 15, 0b11
+        lo, up = approx_tables(n, (full, full), Pairing.DUAL_SUCC)
+        assert (lo, up) == ([0, 0, 0, full], [0, full, full, full])
+        encodings = [encoding for encoding, _ in class_rows(n, RelationClass.R)]
+        frame = properties._Frame(n, len(encodings))
+        bits = properties._member_bits(frame, encodings)
+        needed = properties._needed([property_row(10)])
+        batch = properties._Batch(frame, bits, Pairing.DUAL_SUCC, needed)
+        assert batch.morphism_failures() == 0
+        # u(∅) becomes {0}, then l(V) becomes {1}: every step u(X minus a) ∪
+        # u({a}) and l(-(X minus a)) ∩ l(-{a}) still holds, so only the check
+        # at ∅ and at V tells these tables from a relation's
+        flips = [("u", 0, (lo, [0b01, *up[1:]])), ("l", full, ([*lo[:3], 0b10], up))]
+        for word, x, tables in flips:
+            assert not properties._morphisms(*tables, full)
+            with pytest.raises(RskError, match="^internal inconsistency: "):
+                relation_failures([property_row(10)], *tables, full)
+            values = batch.values[properties._PLAN.index((word, "X"))]
+            values[0] ^= 1 << (k << n) + x
+            assert batch.morphism_failures() == 1 << (k << n) + x
+            values[0] ^= 1 << (k << n) + x
+
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 3), st.data(), st.sampled_from(PAIRINGS))
-    def test_equals_the_table_check_on_flipped_operators(self, n, data, pairing):
-        members = list(class_rows(n, RelationClass.R))
-        frame = properties._Frame(n, len(members))
-        bits = properties._member_bits(frame, [encoding for encoding, _ in members])
-        batch = properties._Batch(
-            frame, bits, pairing, properties._needed([property_row(8)])
-        )
-        k = data.draw(st.integers(0, len(members) - 1))
+    @given(
+        st.sampled_from(["members", "cube"]),
+        st.integers(1, 4),
+        st.data(),
+        st.sampled_from(PAIRINGS),
+    )
+    def test_equals_the_table_check_on_flipped_operators(
+        self, source, n, data, pairing
+    ):
+        batch, mask, members, encoding_of = sliced_class(source, n, pairing)
+        k = data.draw(st.sampled_from(members))
         word = data.draw(st.sampled_from(["l", "u"]))
         w, x = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, (1 << n) - 1))
         # one membership flipped in the sliced operator and in member k's table
-        batch.values[properties._PLAN.index((word, "X"))][w] ^= 1 << (k << n) + x
-        lo, up = (list(table) for table in approx_tables(n, members[k][1], pairing))
+        batch = copy.copy(batch)
+        p = properties._PLAN.index((word, "X"))
+        batch.values = list(batch.values)
+        batch.values[p] = list(batch.values[p])
+        batch.values[p][w] ^= 1 << (k << n) + x
+        rows = rows_from_encoding(n, encoding_of(k))
+        lo, up = (list(table) for table in approx_tables(n, rows, pairing))
         (lo if word == "l" else up)[x] ^= 1 << w
-        fails = batch.morphism_failures()
+        fails = batch.morphism_failures() & mask
         block = fails >> (k << n) & (1 << (1 << n)) - 1
         # only member k's block can fail, and it fails exactly when the table does
         assert fails == block << (k << n)
         assert bool(block) != properties._morphisms(lo, up, (1 << n) - 1)
+
+
+@functools.cache
+def sliced_class(source, n, pairing):
+    """``(batch, mask, members, encoding_of)``: u(X) and l(X) over one batch
+    of size n, from either batch source of the column scan. ``"members"``
+    packs every relation with ``_member_bits``; ``"cube"`` slices the cube
+    of the serial relations with ``_cube_batches``, whose member mask leaves
+    out the relations that are not serial. ``members`` are the member
+    indices k of the batch."""
+    if source == "members":
+        encodings = [encoding for encoding, _ in class_rows(n, RelationClass.R)]
+        frame = properties._Frame(n, len(encodings))
+        bits = properties._member_bits(frame, encodings)
+        mask, encoding_of = frame.ones, encodings.__getitem__
+    else:
+        cube = class_cube(n, RelationClass.Rser)
+        [(frame, bits, mask, encoding_of)] = properties._cube_batches(n, cube)
+    needed = properties._needed([property_row(8)])
+    batch = properties._Batch(frame, bits, pairing, needed)
+    digits = format(mask, "b")[::-1]
+    members = [i >> n for i in range(0, len(digits), frame.width) if digits[i] == "1"]
+    return batch, mask, members, encoding_of
 
 
 @pytest.fixture
