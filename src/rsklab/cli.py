@@ -2,10 +2,11 @@
 
 Every subcommand is a thin wrapper over the library: parse files, call
 one operation, return the report and the exit status. Each option and
-each subcommand is declared once, in ``_OPTIONS`` and ``_COMMANDS``, and
-the parsers are built once per process. Each command line is parsed by
-its own subcommand's parser alone (``parse_command``); the full parser
-runs only to report a line that no subparser takes whole. ``main`` alone
+each subcommand is declared once, in ``_OPTIONS`` and ``_COMMANDS``.
+``parse_command`` reads a well-formed line, ``COMMAND (--FLAG VALUE)*``,
+straight from those declarations; the argparse parser, built from the
+same declarations at most once per process, runs only on any other line,
+to parse it or to print its usage, help or error. ``main`` alone
 serializes the report and writes it, to stdout or ``--output``. Exit
 status 0 on success/consistent/verified, 1 when a check is refuted or
 inconsistent (the report is still printed), 2 on input errors.
@@ -154,6 +155,7 @@ def _cmd_logic(args: argparse.Namespace) -> _Result:
 # The add_argument keywords of each option, declared once. An option is
 # required unless it has a default.
 _OPTIONS: dict[str, dict] = {
+    "--output": {"default": None, "help": "write the report here instead of stdout"},
     "--relation": {},
     "--pairing": {},
     "--set": {},
@@ -168,7 +170,8 @@ _OPTIONS: dict[str, dict] = {
     "--frame": {},
 }
 
-# Each subcommand: name, aliases, handler, help text, options in usage order.
+# Each subcommand: name, aliases, handler, help text, options in usage order
+# (every subcommand also takes --output, first).
 _COMMANDS = (
     ("classify", [], _cmd_classify, "reflexive/symmetric/transitive/serial flags",
      ["--relation"]),
@@ -190,45 +193,79 @@ _COMMANDS = (
      ["--frame", "--set"]),
 )
 
+# Each subcommand by name and alias: its handler, and its options by flag,
+# each with the Namespace attribute it sets and its add_argument keywords.
+_TABLE = {
+    command: (func, {
+        flag: (_OPTIONS[flag].get("dest", flag[2:].replace("-", "_")), _OPTIONS[flag])
+        for flag in ["--output", *options]
+    })
+    for name, aliases, func, _, options in _COMMANDS
+    for command in [name, *aliases]
+}
+
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser, and each subcommand's own parser by name and alias."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="rsklab",
         description="Exhaustive verification lab for rough-set approximation operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--output", help="write the report here instead of stdout")
     for name, aliases, func, help_text, options in _COMMANDS:
-        p = sub.add_parser(name, aliases=aliases, parents=[output], help=help_text)
-        for flag in options:
+        p = sub.add_parser(name, aliases=aliases, help=help_text)
+        for flag in ["--output", *options]:
             kwargs = _OPTIONS[flag]
             p.add_argument(flag, required="default" not in kwargs, **kwargs)
         p.set_defaults(func=func)
-    return parser, sub.choices
+    return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process and shared."""
-    return _parsers()[0]
+def _parse_table(argv: list[str]) -> argparse.Namespace | None:
+    """``argv`` read from ``_TABLE`` if it is ``COMMAND (--FLAG VALUE)*`` with
+    every flag spelled out and given once, no value starting with ``-``, each
+    value of its option's type and among its choices, and every required
+    option given; otherwise None."""
+    if not argv or argv[0] not in _TABLE or len(argv) % 2 == 0:
+        return None
+    func, options = _TABLE[argv[0]]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) * 2 + 1 < len(argv):
+        return None  # a flag given twice
+    found = {"command": argv[0], "func": func}
+    for flag, value in given.items():
+        if flag not in options or value.startswith("-"):
+            return None
+        dest, kwargs = options[flag]
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        found[dest] = value
+    for flag, (dest, kwargs) in options.items():
+        if dest not in found:
+            if "default" not in kwargs:
+                return None
+            found[dest] = kwargs["default"]
+    return argparse.Namespace(**found)
 
 
 def parse_command(argv: list[str]) -> argparse.Namespace:
-    """``argv`` parsed by the subparser its first word names, the same
-    ``Namespace`` that ``build_parser().parse_args(argv)`` gives.
+    """``argv`` parsed, the same ``Namespace`` that
+    ``build_parser().parse_args(argv)`` gives.
 
-    The full parser runs only when no command comes first or the subparser
-    leaves an argument over, and then prints argparse's own usage and error.
+    A line of the form ``COMMAND (--FLAG VALUE)*`` that needs nothing of
+    argparse (no abbreviation, ``=``, ``--``, ``-h``, repeated flag or
+    ``-``-prefixed value, and nothing to report) is read straight from the
+    declared options. Every other line goes to the full parser, which also
+    prints argparse's own usage, help and errors.
     """
-    parser, commands = _parsers()
-    if argv and argv[0] in commands:
-        args, extra = commands[argv[0]].parse_known_args(argv[1:])
-        if not extra:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    args = _parse_table(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -9,10 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rsklab import Pairing, Subset, upper
-from rsklab.cli import build_parser, main, parse_command
-from test_cli_golden import CASES, argv_of
+from rsklab.cli import _COMMANDS, _OPTIONS, build_parser, main, parse_command
+from test_cli_golden import CASES, GOLDEN, argv_of
 
 
 def write(tmp_path, name, obj):
@@ -263,6 +265,17 @@ PARSE_CORPUS = [
     ["check", "--row", "x", "--pairing", "dual", "--relation", "r.json"],
     ["check", "--row=-1", "--pai", "dual", "--relation", "r.json"],
     ["table", "--pairing", "dual", "--max-n", "2", "--format", "csv"],
+    [*CHECK[:3], "--row", "2", *CHECK[3:]],
+    ["check", "--row", "-1", *CHECK[3:]],
+    [*CHECK[:3], "--pairing", "-d", *CHECK[5:]],
+    ["check", "--row", " 7", *CHECK[3:]],
+    ["check", "--row", "1_0", *CHECK[3:]],
+    [*CHECK[:5], "--relation", ""],
+    ["table", "--pairing", "dual"],
+    ["approx", "--pairing", "dual", "--op", "middle", "--relation", "r.json",
+     "--set", "s.json"],
+    [*CHECK, "--output"],
+    [*CHECK[:3], "--output", "o.json", *CHECK[3:]],
 ]
 
 
@@ -283,8 +296,78 @@ def test_one_level_parse_matches_the_full_parser(argv, capsys):
     assert isinstance(expected[0], argparse.Namespace) or expected[0][1] in (0, 2)
 
 
-def test_main_parses_with_one_subparser_call(monkeypatch, capsys):
-    """The full parser never runs on a command line its subparser takes."""
+FLAGS = {
+    command: ["--output", *options]
+    for name, aliases, _, _, options in _COMMANDS
+    for command in [name, *aliases]
+}
+
+
+def fitting(flag):
+    """Values that ``flag`` takes."""
+    kwargs = _OPTIONS[flag]
+    if "choices" in kwargs:
+        return st.sampled_from(kwargs["choices"])
+    if "type" in kwargs:
+        return st.integers(0, 30).map(str)
+    return st.sampled_from(["dual", "r.json", "a b"])
+
+
+# The flaws a command line is drawn with, one at most to a line, each
+# with the values it puts in.
+VALUE_FLAWS = {
+    "negative": st.integers(-30, -1).map(str),
+    "dashed": st.sampled_from(["-", "-d", "--x", "- a"]),
+    "empty": st.just(""),
+    "wrong choice": st.sampled_from(["lower", "json", "7"]),
+    "junk": st.text("-=_ 0123456789abc", max_size=4),
+}
+FLAWS = [None, *VALUE_FLAWS, "abbreviated", "=", "repeated", "no value", "left out"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command line over the declared commands and options: every
+    required option and some of the others, in any order, with fitting
+    values, and at most one flaw. A value may be negative, start with
+    ``-``, be empty, a wrong choice or junk; a flag may be abbreviated,
+    spelled ``--flag=value``, repeated, left without its value or left out."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = draw(st.permutations(FLAGS[command]))
+    words = [[flag, draw(fitting(flag))] for flag in flags
+             if "default" not in _OPTIONS[flag] or draw(st.booleans())]
+    flaw = draw(st.sampled_from(FLAWS)) if words else None
+    if flaw is not None:
+        chosen = [word for word in words if "choices" in _OPTIONS[word[0]]]
+        if flaw != "wrong choice" or not chosen:
+            chosen = words
+        at = words.index(draw(st.sampled_from(chosen)))
+        flag, value = words[at]
+    if flaw in VALUE_FLAWS:
+        words[at][1] = draw(VALUE_FLAWS[flaw])
+    elif flaw == "abbreviated":
+        words[at][0] = flag[:draw(st.integers(3, len(flag) - 1))]
+    elif flaw == "=":
+        words[at] = [f"{flag}={value}"]
+    elif flaw == "repeated":
+        words.insert(draw(st.integers(0, len(words))), [flag, draw(fitting(flag))])
+    elif flaw == "left out":
+        del words[at]
+    argv = [command, *(word for pair in words for word in pair)]
+    return argv[:-1] if flaw == "no value" else argv
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=command_lines())
+def test_table_parse_matches_the_full_parser(argv, capsys):
+    expected = parse_outcome(build_parser().parse_args, argv, capsys)
+    assert parse_outcome(parse_command, argv, capsys) == expected
+
+
+def test_argparse_runs_only_on_lines_the_table_does_not_take(monkeypatch, capsys):
+    """No argparse call for a golden command line; one, by the full parser,
+    for a line with ``=`` and an abbreviated flag."""
     progs = []
     parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -293,9 +376,16 @@ def test_main_parses_with_one_subparser_call(monkeypatch, capsys):
         return parse_known_args(self, args, namespace)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", record)
-    code, out, _ = run(capsys, argv_of("check_fails"))
-    assert progs == ["rsklab check"]
-    assert code == 1 and json.loads(out)["holds"] is False
+    for name in sorted(CASES):
+        assert parse_command(argv_of(name)).command == CASES[name][0]
+    assert progs == []
+    relation = str(GOLDEN / "chain.json")
+    code, out, _ = run(
+        capsys, ["check", "--row=10", "--pai", "nondual", "--relation", relation]
+    )
+    assert progs[:1] == ["rsklab"] and progs.count("rsklab") == 1
+    assert code == json.loads((GOLDEN / "exits.json").read_text())["check_two_set"]
+    assert out.encode() == (GOLDEN / "check_two_set.out").read_bytes()
 
 
 def test_readme_library_block_runs():
