@@ -5,15 +5,16 @@ Rows 1-23 match the shared row numbering of the two verdict tables; rows
 subset.
 
 Each one-set row is declared once, as data: a conjunction of inclusions
-``P(A) ⊆ Q(A)`` of words over l, u and ¬ (complement), at A the row's
-set X or a fixed ∅ or V. Row 1 (duality) is the four inclusions of
-``l(¬X) = ¬u(X)`` and ``u(¬X) = ¬l(X)``; rows 2-5 are evaluated at ∅ or
-V, ignore X, and so have the witness X=∅; every other one-set row is a
-single inclusion. Two algebras read the same words, each compiled from
-them: each row's ``evaluate`` once, at import, over one relation's
-tables; and each row's fail mask once per size, over bit-sliced sets, on
-the first scan that asks for that row. Rows 8-13 keep their predicates,
-which only ``eval_property`` reads.
+``P ⊆ Q`` of words over l, u and ¬ (complement), each spelled with its
+set, the row's X or a fixed ∅ or V: ``"ulX"`` is u(l(X)) and ``"l∅"`` is
+l(∅). Row 1 (duality) is the four inclusions of ``l(¬X) = ¬u(X)`` and
+``u(¬X) = ¬l(X)``; rows 2-5 read only ∅ or V, ignore X, and so have the
+witness X=∅; every other one-set row is a single inclusion. Two algebras
+read the same words, keyed by their spelling, each compiled from them:
+each row's ``evaluate`` once, at import, over one relation's tables; and
+each row's fail mask once per size, over bit-sliced sets, on the first
+scan that asks for that row. Rows 8-13 keep their predicates, which only
+``eval_property`` reads.
 
 Row 13 is stated here as ``u(X∩Y) ⊆ u(X) ∩ u(Y)``; the reverse inclusion
 fails already for equivalence relations, so only this direction is
@@ -58,15 +59,15 @@ transitivity masks (``ClassCube.members``) and packed, their rows
 through bytes, into batches of members only. A set becomes n ints, and
 each word is O(n²) big-int ANDs and ORs over every relation and every X
 of the batch, by the operators ``operators.sliced_operators`` compiles
-per pairing and size. The words the one-set rows read, with their
-suffixes, form one fixed plan, built at import; a batch evaluates only
-the plan's words that its pending rows read, each once, and the scan
-works that set out again only when a row is settled. A one-set row's
+per pairing and size. A batch evaluates only the words its pending rows
+read, with the words inside them, each once and inner words first
+(``_needed``, kept per set of pending rows), and the scan looks that
+list up again only when a row is settled. A one-set row's
 fail mask is the OR of its inclusions' violations, and its lowest set
 bit among the class members, ``k * 2^n + X``, is the row's witness: the
 minimal failing member k and its minimal X. Rows 8-13 hold for every
 relation, so the scan asserts them: it computes ``_morphisms`` on the
-sliced operators, reading u(X) and l(X) from the plan and each member's
+sliced operators, reading the batch's u(X) and l(X) and each member's
 u({a}) and l(V minus {a}) off its own block, and a member failing it is
 an error in the sliced kernels, raised as an internal inconsistency,
 never a counterexample.
@@ -102,15 +103,16 @@ _Eval = Callable[[Sequence[int], Sequence[int], int, int, int], bool]
 
 @dataclass(frozen=True)
 class Inclusion:
-    """``P(A) ⊆ Q(A)`` for words P and Q over l, u and ¬ (complement).
+    """``P ⊆ Q`` for words P and Q over l, u and ¬ (complement), each
+    spelled with its set.
 
-    A word reads right to left, as composition: ``"ul"`` is u(l(A)) and
-    ``""`` is A itself. A is the row's set X, or the fixed set ∅ or V.
+    A word reads right to left, as composition, and ends in its set: the
+    row's set X, or the fixed set ∅ or V. ``"ulX"`` is u(l(X)), ``"l∅"`` is
+    l(∅) and ``"V"`` is V itself.
     """
 
     sub: str
     sup: str
-    at: str = "X"
 
 
 @dataclass(frozen=True)
@@ -130,22 +132,22 @@ class PropertyRow:
 
 # The table algebra: lo and up are one relation's tables by mask, f the
 # full mask and x the row's set, so a word becomes nested lookups.
-_TABLE_LETTERS = {"l": "lo[{}]", "u": "up[{}]", "¬": "(f ^ {})"}
-_TABLE_SETS = {"X": "x", "∅": "0", "V": "f"}
+_TABLE_LETTERS = {
+    "l": "lo[{}]", "u": "up[{}]", "¬": "(f ^ {})", "X": "x", "∅": "0", "V": "f"
+}
 
 
-def _table_term(word: str, at: str) -> str:
-    term = _TABLE_SETS[at]
-    for letter in reversed(word):
-        term = _TABLE_LETTERS[letter].format(term)
+def _table_term(word: str) -> str:
+    term = "{}"
+    for letter in word:
+        term = term.format(_TABLE_LETTERS[letter])
     return term
 
 
 def _one_set(index: int, label: str, *inclusions: Inclusion) -> PropertyRow:
     """A one-set row; ``evaluate`` is its inclusions compiled to one expression."""
     test = " and ".join(
-        f"not {_table_term(i.sub, i.at)} & ~{_table_term(i.sup, i.at)}"
-        for i in inclusions
+        f"not {_table_term(i.sub)} & ~{_table_term(i.sup)}" for i in inclusions
     )
     # the source holds only the fixed words of PROPERTY_ROWS
     evaluate = eval(f"lambda lo, up, f, x, y: {test}")
@@ -198,33 +200,33 @@ PROPERTY_ROWS: tuple[PropertyRow, ...] = (
     _one_set(
         1,
         "duality of l(X), u(X)",
-        Inclusion("l¬", "¬u"),
-        Inclusion("¬u", "l¬"),
-        Inclusion("u¬", "¬l"),
-        Inclusion("¬l", "u¬"),
+        Inclusion("l¬X", "¬uX"),
+        Inclusion("¬uX", "l¬X"),
+        Inclusion("u¬X", "¬lX"),
+        Inclusion("¬lX", "u¬X"),
     ),
-    _one_set(2, "l(∅) = ∅", Inclusion("l", "", "∅")),
-    _one_set(3, "∅ = u(∅)", Inclusion("u", "", "∅")),
-    _one_set(4, "l(V) = V", Inclusion("", "l", "V")),
-    _one_set(5, "u(V) = V", Inclusion("", "u", "V")),
-    _one_set(6, "l(X) ⊆ X", Inclusion("l", "")),
-    _one_set(7, "X ⊆ u(X)", Inclusion("", "u")),
+    _one_set(2, "l(∅) = ∅", Inclusion("l∅", "∅")),
+    _one_set(3, "∅ = u(∅)", Inclusion("u∅", "∅")),
+    _one_set(4, "l(V) = V", Inclusion("V", "lV")),
+    _one_set(5, "u(V) = V", Inclusion("V", "uV")),
+    _one_set(6, "l(X) ⊆ X", Inclusion("lX", "X")),
+    _one_set(7, "X ⊆ u(X)", Inclusion("X", "uX")),
     PropertyRow(8, "X ⊆ Y ⇒ l(X) ⊆ l(Y)", True, _p08),
     PropertyRow(9, "X ⊆ Y ⇒ u(X) ⊆ u(Y)", True, _p09),
     PropertyRow(10, "u(X∪Y) = u(X) ∪ u(Y)", True, _p10),
     PropertyRow(11, "l(X∩Y) = l(X) ∩ l(Y)", True, _p11),
     PropertyRow(12, "l(X∪Y) ⊇ l(X) ∪ l(Y)", True, _p12),
     PropertyRow(13, "u(X∩Y) ⊆ u(X) ∩ u(Y)", True, _p13),
-    _one_set(14, "l(l(X)) ⊆ l(X)", Inclusion("ll", "l")),
-    _one_set(15, "l(l(X)) ⊇ l(X)", Inclusion("l", "ll")),
-    _one_set(16, "u(l(X)) ⊆ l(X)", Inclusion("ul", "l")),
-    _one_set(17, "u(l(X)) ⊇ l(X)", Inclusion("l", "ul")),
-    _one_set(18, "u(u(X)) ⊆ u(X)", Inclusion("uu", "u")),
-    _one_set(19, "u(u(X)) ⊇ u(X)", Inclusion("u", "uu")),
-    _one_set(20, "l(u(X)) ⊆ u(X)", Inclusion("lu", "u")),
-    _one_set(21, "u(X) ⊆ l(u(X))", Inclusion("u", "lu")),
-    _one_set(22, "X ⊆ l(u(X))", Inclusion("", "lu")),
-    _one_set(23, "u(l(X)) ⊆ X", Inclusion("ul", "")),
+    _one_set(14, "l(l(X)) ⊆ l(X)", Inclusion("llX", "lX")),
+    _one_set(15, "l(l(X)) ⊇ l(X)", Inclusion("lX", "llX")),
+    _one_set(16, "u(l(X)) ⊆ l(X)", Inclusion("ulX", "lX")),
+    _one_set(17, "u(l(X)) ⊇ l(X)", Inclusion("lX", "ulX")),
+    _one_set(18, "u(u(X)) ⊆ u(X)", Inclusion("uuX", "uX")),
+    _one_set(19, "u(u(X)) ⊇ u(X)", Inclusion("uX", "uuX")),
+    _one_set(20, "l(u(X)) ⊆ u(X)", Inclusion("luX", "uX")),
+    _one_set(21, "u(X) ⊆ l(u(X))", Inclusion("uX", "luX")),
+    _one_set(22, "X ⊆ l(u(X))", Inclusion("X", "luX")),
+    _one_set(23, "u(l(X)) ⊆ X", Inclusion("ulX", "X")),
 )
 
 
@@ -333,66 +335,30 @@ class PropertyVerdict:
         return "refuted" if self.refuted else "verified"
 
 
-def _suffixes(word: str, at: str) -> list[tuple[str, str]]:
-    """``(word, at)`` and every word inside it, inner words first."""
-    return [(word[start:], at) for start in reversed(range(len(word) + 1))]
-
-
-def _words(row: PropertyRow) -> list[tuple[str, str]]:
-    """The (word, at) that a batch evaluates for a row, inner words first:
-    the words of a one-set row's inclusions, and u(X) and l(X), which the
-    morphism check reads, for a two-set row."""
-    if row.two_set:
-        return _suffixes("u", "X") + _suffixes("l", "X")
-    return [
-        term
-        for i in row.inclusions
-        for word in (i.sub, i.sup)
-        for term in _suffixes(word, i.at)
-    ]
-
-
-# The fixed plan of the sliced algebra, every word of every row once, inner
-# words first, so that a batch, evaluating in plan order, evaluates a word
-# after the word its first letter applies to. A batch's values are a list by
-# plan position. _STEPS gives each word's first letter and the position of
-# the word it applies to ("" and None for a set itself), _ROW_TERMS each
-# one-set row's (sub, sup) positions, and _READS each row's positions.
-_PLAN = tuple(dict.fromkeys(term for row in PROPERTY_ROWS for term in _words(row)))
-_POSITION = {term: p for p, term in enumerate(_PLAN)}
-_STEPS = tuple(
-    (word[:1], _POSITION[word[1:], at] if word else None) for word, at in _PLAN
-)
-_ROW_TERMS = {
-    row.index: tuple(
-        (_POSITION[i.sub, i.at], _POSITION[i.sup, i.at]) for i in row.inclusions
-    )
-    for row in PROPERTY_ROWS
-    if not row.two_set
-}
-_READS = {
-    row.index: frozenset(_POSITION[term] for term in _words(row))
-    for row in PROPERTY_ROWS
-}
-_UX, _LX = _POSITION["u", "X"], _POSITION["l", "X"]
-
-
-def _needed(rows: Iterable[PropertyRow]) -> tuple[int, ...]:
-    """The plan positions a batch evaluates for the rows, in plan order."""
-    # a loop, not frozenset().union(*...): CPython builds that argument tuple
-    # from the generator by resizing, and every such tuple freed then stays
-    # in its size's free list, about 1 MB over a few thousand scans
-    needed: set[int] = set()
-    for row in rows:
-        needed |= _READS[row.index]
-    return tuple(sorted(needed))
+@cache  # one per distinct set of pending rows
+def _needed(indices: frozenset[int]) -> tuple[tuple[str, str, str], ...]:
+    """``(word, letter, inner)`` for each word a batch evaluates for the rows,
+    the word being its first letter applied to ``inner``: every word of a
+    one-set row's inclusions with every word inside it, and u(X) and l(X),
+    which the morphism check reads, for a two-set row. The sets X, ∅ and V
+    are not listed; the rest are sorted by length, then spelling, so each
+    inner word comes before the words it is inside."""
+    words: set[str] = set()
+    for row in map(property_row, indices):
+        if row.two_set:
+            words |= {"uX", "lX"}
+        for i in row.inclusions:
+            for word in (i.sub, i.sup):
+                words.update(word[start:] for start in range(len(word) - 1))
+    ordered = sorted(words, key=lambda word: (len(word), word))
+    return tuple((word, word[0], word[1:]) for word in ordered)
 
 
 class _FailMasks(dict):
-    """Per one-set row index, its fail mask from a batch's plan values and
-    ones: the OR of every inclusion's violations, compiled to one expression
-    on the row's first lookup, so a scan compiles only the rows it asks for
-    and every later lookup is a dict hit."""
+    """Per one-set row index, its fail mask from a batch's values and ones:
+    the OR of every inclusion's violations, compiled to one expression on
+    the row's first lookup, so a scan compiles only the rows it asks for and
+    every later lookup is a dict hit."""
 
     def __init__(self, n: int):
         super().__init__()
@@ -400,11 +366,11 @@ class _FailMasks(dict):
 
     def __missing__(self, index: int) -> Callable[[Sequence[Sequence[int]], int], int]:
         test = " | ".join(
-            f"v[{p}][{w}] & (ones ^ v[{q}][{w}])"
-            for p, q in _ROW_TERMS[index]
+            f"v[{i.sub!r}][{w}] & (ones ^ v[{i.sup!r}][{w}])"
+            for i in property_row(index).inclusions
             for w in range(self.n)
         )
-        # the source holds only integer indices
+        # the source holds only the fixed words of PROPERTY_ROWS and integers
         mask = self[index] = eval(f"lambda v, ones: {test}")
         return mask
 
@@ -510,8 +476,8 @@ class _Batch:
     """A batch of n-element relations, bit-sliced over (member, subset).
 
     A set is n ints, entry w holding the positions whose set contains w.
-    ``values[p]`` is the set of the plan's word p at every position: each
-    word in ``needed`` is evaluated once, in plan order, the others are None.
+    ``values[word]`` is the set ``word`` at every position: the sets X, ∅
+    and V, and each word of ``needed``, evaluated once, in its order.
     ``frame`` and ``ones`` are the frame's, for the checks that read them.
     """
 
@@ -520,23 +486,19 @@ class _Batch:
         frame: _Frame,
         bits: list[list[int]],
         pairing: Pairing,
-        needed: Sequence[int],
+        needed: Sequence[tuple[str, str, str]],
     ):
         n, ones = frame.n, frame.ones
         self.frame, self.ones = frame, ones
         lower, upper = sliced_operators(pairing, n)
-        sets = {"X": frame.sets, "∅": (0,) * n, "V": (ones,) * n}
-        values: list = [None] * len(_PLAN)
-        for p in needed:
-            letter, inner = _STEPS[p]
+        values = {"X": frame.sets, "∅": (0,) * n, "V": (ones,) * n}
+        for word, letter, inner in needed:
             if letter == "l":
-                values[p] = lower(bits, ones, values[inner])
+                values[word] = lower(bits, ones, values[inner])
             elif letter == "u":
-                values[p] = upper(bits, ones, values[inner])
-            elif letter == "¬":
-                values[p] = [ones ^ v for v in values[inner]]
+                values[word] = upper(bits, ones, values[inner])
             else:
-                values[p] = sets[_PLAN[p][1]]
+                values[word] = [ones ^ v for v in values[inner]]
         self.values = values
 
     def morphism_failures(self) -> int:
@@ -551,7 +513,7 @@ class _Batch:
         frame, ones = self.frame, self.ones
         fill, starts, full = frame.fill, frame.starts, frame.width - 1
         fails = 0
-        for u, l in zip(self.values[_UX], self.values[_LX]):
+        for u, l in zip(self.values["uX"], self.values["lX"]):
             joined, met = 0, ones
             for a, s in enumerate(frame.sets):
                 joined |= s & fill(u >> (1 << a) & starts)
@@ -598,9 +560,9 @@ def scan_class_failures(
         fail_masks = _fail_masks(n)
         for frame, bits, mask, encoding_of in batches:
             if needed is None:
-                needed = _needed(pending.values())
+                needed = _needed(frozenset(pending))
             batch = _Batch(frame, bits, pairing, needed)
-            for index in [index for index in pending if index in _ROW_TERMS]:
+            for index in [index for index, row in pending.items() if not row.two_set]:
                 fails = fail_masks[index](batch.values, batch.ones) & mask
                 if fails:  # bit k * 2^n + X: member k fails at X, both minimal
                     low = (fails & -fails).bit_length() - 1

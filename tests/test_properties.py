@@ -3,7 +3,9 @@ and the class-wide counterexample search."""
 
 import copy
 import functools
+import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -294,10 +296,11 @@ class TestScanAgainstReference:
         ) == reference_scan(pairing, "Rrst", 4, range(1, 24))
 
 
-def table_word(word, at, lo, up, full, x):
-    """``word(A)`` on one relation's tables, A the set X or a fixed ∅ or V."""
-    value = {"X": x, "∅": 0, "V": full}[at]
-    for letter in reversed(word):
+def table_word(word, lo, up, full, x):
+    """``word`` on one relation's tables; its last letter is its set, the
+    set X or a fixed ∅ or V."""
+    value = {"X": x, "∅": 0, "V": full}[word[-1]]
+    for letter in reversed(word[:-1]):
         if letter == "¬":
             value = full ^ value
         else:
@@ -313,13 +316,15 @@ class TestCompiledKernels:
     def test_every_plan_word_and_fail_mask_on_every_relation_and_set(self, pairing):
         # the granule pairing is defined on equivalences only
         members = RelationClass.Rrst if pairing is Pairing.PAWLAK else RelationClass.R
-        everything = range(len(properties._PLAN))
+        everything = properties._needed(frozenset(range(1, 24)))
         for n in range(1, 4):
             full = (1 << n) - 1
             listed = list(class_rows(n, members))
             frame = properties._Frame(n, len(listed))
             bits = properties._member_bits(frame, [encoding for encoding, _ in listed])
             batch = properties._Batch(frame, bits, pairing, everything)
+            words = {word for word, _, _ in everything}
+            assert batch.values.keys() == {"X", "∅", "V"} | words
             one_set = [row.index for row in PROPERTY_ROWS if not row.two_set]
             assert len(one_set) == 17
             fail_masks = {
@@ -330,16 +335,68 @@ class TestCompiledKernels:
                 lo, up = approx_tables(n, rows, pairing)
                 for x in range(full + 1):
                     position = (k << n) + x
-                    for (word, at), sliced in zip(properties._PLAN, batch.values):
+                    for word, sliced in batch.values.items():
                         value = sum(1 << w for w in range(n) if sliced[w] >> position & 1)
-                        assert value == table_word(word, at, lo, up, full, x), (
-                            n, rows, word, at, x
+                        assert value == table_word(word, lo, up, full, x), (
+                            n, rows, word, x
                         )
                     for index, fails in fail_masks.items():
                         holds = property_row(index).evaluate(lo, up, full, x, 0)
                         assert bool(fails >> position & 1) == (not holds), (
                             n, rows, index, x
                         )
+
+    @pytest.mark.parametrize("pairing", [*PAIRINGS, Pairing.PAWLAK])
+    def test_one_set_fail_masks_at_n5_and_n6(self, pairing):
+        one_set = [row for row in PROPERTY_ROWS if not row.two_set]
+        needed = properties._needed(frozenset(row.index for row in one_set))
+        for n in (5, 6):
+            full = (1 << n) - 1
+            if pairing is Pairing.PAWLAK:  # defined on equivalences only
+                members = itertools.islice(class_rows(n, RelationClass.Rrst), 16)
+                encodings = [encoding for encoding, _ in members]
+            else:
+                rng = random.Random(n)
+                encodings = [rng.getrandbits(n * n) for _ in range(16)]
+            frame = properties._Frame(n, len(encodings))
+            bits = properties._member_bits(frame, encodings)
+            batch = properties._Batch(frame, bits, pairing, needed)
+            fail_masks = {
+                row: properties._fail_masks(n)[row.index](batch.values, batch.ones)
+                for row in one_set
+            }
+            for k, encoding in enumerate(encodings):
+                lo, up = approx_tables(n, rows_from_encoding(n, encoding), pairing)
+                for x in range(full + 1):
+                    position = (k << n) + x
+                    for row, fails in fail_masks.items():
+                        holds = row.evaluate(lo, up, full, x, 0)
+                        assert bool(fails >> position & 1) == (not holds), (
+                            n, encoding, row.index, x
+                        )
+
+    def test_needed_lists_every_word_inside_the_rows_inner_words_first(self):
+        def words(index):
+            """Every word of the row's inclusions and every word inside it,
+            its set alone left out; u(X) and l(X) for a two-set row."""
+            row = property_row(index)
+            if row.two_set:
+                return {"uX", "lX"}
+            spelled = [word for i in row.inclusions for word in (i.sub, i.sup)]
+            return {word[-k:] for word in spelled for k in range(2, len(word) + 1)}
+
+        rows = range(1, 24)
+        pairs = [set(pair) for pair in itertools.combinations(rows, 2)]
+        for indices in [*({i} for i in rows), *pairs, set(rows)]:
+            needed = properties._needed(frozenset(indices))
+            assert needed == tuple(sorted(needed, key=lambda t: (len(t[0]), t[0])))
+            evaluated = {"X", "∅", "V"}
+            for word, letter, inner in needed:
+                assert letter + inner == word and inner in evaluated, (indices, word)
+                evaluated.add(word)
+            expected = set().union(*map(words, indices))
+            assert len(needed) == len(expected), indices
+            assert evaluated == {"X", "∅", "V"} | expected, indices
 
     def test_a_scan_compiles_only_the_fail_masks_of_its_rows(self):
         properties._fail_masks.cache_clear()
@@ -357,8 +414,7 @@ class TestCompiledKernels:
 
         def recorded(batch, *args):
             init(batch, *args)
-            values = enumerate(batch.values)
-            evaluated.append({properties._PLAN[p] for p, v in values if v is not None})
+            evaluated.append(set(batch.values) - {"X", "∅", "V"})
 
         def counted(pairing, n):
             lower, upper = compiled(pairing, n)
@@ -375,7 +431,7 @@ class TestCompiledKernels:
 
         monkeypatch.setattr(properties._Batch, "__init__", recorded)
         monkeypatch.setattr(properties, "sliced_operators", counted)
-        row_6 = {("", "X"), ("l", "X")}
+        row_6 = {"lX"}
         # row 6 holds on reflexive relations: one batch a size, all read l(X)
         assert scan_class_failures(Pairing.DUAL_SUCC, RelationClass.Rr, 3, [6]) == {}
         assert evaluated == [row_6] * 3 and calls == ["l"] * 3
@@ -383,7 +439,7 @@ class TestCompiledKernels:
         evaluated.clear()
         failures = scan_class_failures(Pairing.DUAL_SUCC, RelationClass.Rr, 4, [6, 15])
         assert list(failures) == [15] and failures[15][0] == 3
-        assert evaluated == [row_6 | {("ll", "X")}] * 3 + [row_6]
+        assert evaluated == [row_6 | {"llX"}] * 3 + [row_6]
 
 
 TRANSITIVE = [RelationClass.Rt, RelationClass.Rrt, RelationClass.Rst, RelationClass.Rrst]
@@ -566,9 +622,8 @@ class TestSharedConstants:
         for frame in frames:
             assert vars(frame).keys() == held
             assert isinstance(frame.sets, tuple) and len(frame.sets) == frame.n
-        x_word = properties._PLAN.index(("", "X"))
-        batch = properties._Batch(frames[0], [[0]], Pairing.DUAL_SUCC, [x_word])
-        assert batch.values[x_word] is frames[0].sets
+        batch = properties._Batch(frames[0], [[0]], Pairing.DUAL_SUCC, ())
+        assert batch.values["X"] is frames[0].sets
         assert isinstance(relations._index_variables(3, 8), tuple)
         cube = class_cube(3, RelationClass.Rt)
         assert isinstance(cube._positions[1], tuple)
@@ -653,7 +708,7 @@ class TestSlicedMorphismCheck:
         encodings = [encoding for encoding, _ in class_rows(n, RelationClass.R)]
         frame = properties._Frame(n, len(encodings))
         bits = properties._member_bits(frame, encodings)
-        needed = properties._needed([property_row(10)])
+        needed = properties._needed(frozenset({10}))
         batch = properties._Batch(frame, bits, Pairing.DUAL_SUCC, needed)
         assert batch.morphism_failures() == 0
         # u(∅) becomes {0}, then l(V) becomes {1}: every step u(X minus a) ∪
@@ -664,7 +719,7 @@ class TestSlicedMorphismCheck:
             assert not properties._morphisms(*tables, full)
             with pytest.raises(RskError, match="^internal inconsistency: "):
                 relation_failures([property_row(10)], *tables, full)
-            values = batch.values[properties._PLAN.index((word, "X"))]
+            values = batch.values[word + "X"]
             values[0] ^= 1 << (k << n) + x
             assert batch.morphism_failures() == 1 << (k << n) + x
             values[0] ^= 1 << (k << n) + x
@@ -685,10 +740,10 @@ class TestSlicedMorphismCheck:
         w, x = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, (1 << n) - 1))
         # one membership flipped in the sliced operator and in member k's table
         batch = copy.copy(batch)
-        p = properties._PLAN.index((word, "X"))
-        batch.values = list(batch.values)
-        batch.values[p] = list(batch.values[p])
-        batch.values[p][w] ^= 1 << (k << n) + x
+        key = word + "X"
+        batch.values = dict(batch.values)
+        batch.values[key] = list(batch.values[key])
+        batch.values[key][w] ^= 1 << (k << n) + x
         rows = rows_from_encoding(n, encoding_of(k))
         lo, up = (list(table) for table in approx_tables(n, rows, pairing))
         (lo if word == "l" else up)[x] ^= 1 << w
@@ -715,7 +770,7 @@ def sliced_class(source, n, pairing):
     else:
         cube = class_cube(n, RelationClass.Rser)
         [(frame, bits, mask, encoding_of)] = properties._cube_batches(n, cube)
-    needed = properties._needed([property_row(8)])
+    needed = properties._needed(frozenset({8}))
     batch = properties._Batch(frame, bits, pairing, needed)
     digits = format(mask, "b")[::-1]
     members = [i >> n for i in range(0, len(digits), frame.width) if digits[i] == "1"]
