@@ -44,15 +44,16 @@ software", FSE 1997; Knuth, TAOCP 4A, "Bitwise tricks and techniques").
 For each size it takes batches of relations, in encoding order, as ints
 of ``_BATCH_BITS`` bits, where bit ``k * 2^n + X`` stands for relation k
 of the batch at subset X, and each relation bit (x, y) is one int. The
-ints that depend only on the size and the batch length (the sets X and
-the cube's index variables and tables) are built once per process and
-shared, read-only, by every scan: a few frames of ints of up to 128 KB
+ints that depend only on the size and the batch length are built once
+per process and shared, read-only, by every scan: the sets X, tiled from
+the index variables of the 2^n subsets (``relations.index_variables``),
+and the cube's levels and tables; a few frames of ints of up to 128 KB
 per size, 29 frames and about 3 MB after an n≤5 table. Every class is
 the members of a cube over its free encoding bits
 (``relations.class_cube``), with cube order equal to encoding order. A
-class without transitivity is sliced as its cube: a
-batch's low free bits are fixed tilings, its top free bits constant 0 or
-all-ones ints, and a serial class's members a mask computed from them. A
+class without transitivity is sliced as its cube: a batch's low free
+bits are index variables, its top free bits constant 0 or all-ones
+ints, and a serial class's members a mask computed from them. A
 transitive class fills too little of its cube (0.5% for Rt at n=5) to be
 sliced whole, so its members are read off the cube's bit-sliced
 transitivity masks (``ClassCube.members``) and packed, their rows
@@ -95,6 +96,7 @@ from .relations import (
     Universe,
     check_capacity,
     class_cube,
+    index_variables,
     tile,
 )
 
@@ -375,10 +377,8 @@ class _FailMasks(dict):
         return mask
 
 
-@cache  # one per size a scan reaches
-def _fail_masks(n: int) -> _FailMasks:
-    """The fail masks of the one-set rows at size n."""
-    return _FailMasks(n)
+# The fail masks of the one-set rows, one dict per size a scan reaches.
+_fail_masks = cache(_FailMasks)
 
 
 # Bits per batch of the column scan: each int of the pass is 128 KB
@@ -401,24 +401,19 @@ class _Frame:
         width = 1 << n
         self.n, self.width, self.count = n, width, count
         self.ones = (1 << width * count) - 1
-        self.starts = self.where(lambda x: x == 0)
-        # the set X itself: entry e holds the positions whose X contains e
-        self.sets = tuple(self.where(lambda x, e=e: x >> e & 1) for e in range(n))
-
-    def where(self, holds: Callable[[int], bool]) -> int:
-        """The positions, in every member, of the subsets X with ``holds(X)``."""
-        block = sum(1 << x for x in range(self.width) if holds(x))
-        return tile(block, self.width, self.count)
+        self.starts = tile(1, width, count)
+        # the set X itself, X the index of its block: entry e is index
+        # variable e, the positions whose X contains e, tiled per member
+        self.sets = tuple(tile(v, width, count) for v in index_variables(n, 1))
 
     def fill(self, starts: int) -> int:
         """Each set bit ``k * 2^n`` of ``starts`` widened to member k's whole block."""
         return (starts << self.width) - starts
 
 
-@cache  # the sizes and batch lengths of a process are few: about ten a size
-def _frame(n: int, count: int) -> _Frame:
-    """The one frame of the batches of ``count`` n-element relations."""
-    return _Frame(n, count)
+# The one frame of the batches of ``count`` n-element relations: the sizes
+# and batch lengths of a process are few, about ten a size.
+_frame = cache(_Frame)
 
 
 def _member_bits(frame: _Frame, encodings: Sequence[int]) -> list[list[int]]:

@@ -512,7 +512,7 @@ def tile(block: int, width: int, count: int) -> int:
 
 
 @cache  # shared by every scan: a few pairs a size, read-only
-def _index_variables(bits: int, width: int) -> tuple[int, ...]:
+def index_variables(bits: int, width: int) -> tuple[int, ...]:
     """The bit-sliced indices k < 2^bits, index k a block of ``width`` bits.
 
     Int i holds the blocks of the indices k with bit i of k set.
@@ -598,41 +598,28 @@ class ClassCube:
                     terms[tuple(sorted(factors)), missing] = min(factors | {missing})
         return terms
 
-    @cache  # a cube asks for a few ranges, and class_cube keeps the cube
-    def _decided(self, lo: int, hi: int) -> tuple[_Term, ...]:
-        """The terms whose lowest free bit is in ``lo..hi-1``."""
-        return tuple(term for term, lowest in self._terms.items() if lo <= lowest < hi)
+    @cache  # one per batch shape and level width; class_cube keeps the cube
+    def _levels(self, low: int, width: int, level_bits: int) -> tuple[tuple, ...]:
+        """``(lo, hi, ones, variables, terms)`` per level of the descent, top first.
 
-    def _tops(self, low: int) -> Iterator[int]:
-        """Ascending, the assignments ``top`` of the free bits from ``low`` up
-        that violate no transitivity term they decide.
-
-        A descent from the most significant free bit, ``_LEVEL_BITS`` bits a
-        level: a level's mask is the bit-sliced check of the terms it
-        decides over every assignment of its bits, the bits above fixed by
-        the levels before, and only its set bits are extended.
+        A level assigns free bits ``lo..hi-1``: ``level_bits`` of them at
+        width 1 from the most significant free bit down (the top level the
+        rest), and last the batch's ``low`` bits at ``width``. ``variables``
+        are the index variables of its bits after ``lo`` zeros, so entry i
+        is free bit i, and ``terms`` those whose lowest free bit it assigns.
         """
-        levels = []
-        hi = self.free
+        bounds, hi = [], self.free
         while hi > low:
-            lo = low + (hi - low - 1) // _LEVEL_BITS * _LEVEL_BITS
-            ones = (1 << (1 << hi - lo)) - 1
-            levels.append(
-                (lo, hi, _index_variables(hi - lo, 1), ones, self._decided(lo, hi))
-            )
+            lo = low + (hi - low - 1) // level_bits * level_bits
+            bounds.append((lo, hi, 1))
             hi = lo
-
-        def descend(top: int, depth: int) -> Iterator[int]:
-            if depth == len(levels):
-                yield top
-                return
-            lo, hi, variables, ones, terms = levels[depth]
-            fixed = tuple(ones if top >> i & 1 else 0 for i in range(self.free - hi))
-            mask = ones ^ _violations(terms, (0,) * lo + variables + fixed, ones)
-            for k in _set_bits(mask):
-                yield from descend(top << hi - lo | k, depth + 1)
-
-        return descend(0, 0)
+        bounds.append((0, low, width))
+        return tuple(
+            (lo, hi, (1 << (block << hi - lo)) - 1,
+             (0,) * lo + index_variables(hi - lo, block),
+             tuple(t for t, lowest in self._terms.items() if lo <= lowest < hi))
+            for lo, hi, block in bounds
+        )
 
     def batches(
         self, low: int, width: int
@@ -641,22 +628,32 @@ class ClassCube:
 
         Index k is the k-th block of ``width`` bits of each int: ``bits[x][y]``
         has the blocks whose relation holds (x, y), and ``mask`` those of
-        the members. Batches come in cube order; a batch whose fixed bits
-        already violate transitivity is never built, and one without a
-        member is skipped.
+        the members. Batches come in cube order. The one walk over a cube,
+        a descent through ``_levels``: at each level the bits above it are
+        fixed, as constant 0 or all-ones ints, and its mask is the
+        bit-sliced check of the terms it decides over every assignment of
+        its own bits. An upper level extends only its set bits, so a batch
+        whose fixed bits already violate transitivity is never built; a
+        batch without a member is skipped.
         """
-        ones = (1 << (width << low)) - 1
-        variables = _index_variables(low, width)
-        terms = self._decided(0, low)
-        for top in self._tops(low):
-            fixed = tuple(ones if top >> i & 1 else 0 for i in range(self.free - low))
+        levels = self._levels(low, width, _LEVEL_BITS)
+
+        def descend(top: int, depth: int) -> Iterator[tuple[int, list[list[int]], int]]:
+            lo, hi, ones, variables, terms = levels[depth]
+            fixed = tuple(ones if top >> i & 1 else 0 for i in range(self.free - hi))
             values = variables + fixed
-            bits = [[values[i] if i >= 0 else ones for i in row] for row in self.layout]
             mask = ones ^ _violations(terms, values, ones)
+            if depth + 1 < len(levels):
+                for k in _set_bits(mask):
+                    yield from descend(top << hi - lo | k, depth + 1)
+                return
+            bits = [[values[i] if i >= 0 else ones for i in row] for row in self.layout]
             if self.serial:
                 mask &= reduce(and_, (reduce(or_, row) for row in bits), ones)
             if mask:
                 yield top, bits, mask
+
+        return descend(0, 0)
 
     @cache  # one width per cube and _LEVEL_BITS, and class_cube keeps the cube
     def _low_table(self, low: int) -> tuple[int, ...]:

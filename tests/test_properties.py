@@ -508,7 +508,7 @@ class TestCubeBatches:
     ):
         monkeypatch.setattr(relations, "_LEVEL_BITS", 2)
         cube = class_cube(4, relation_class)
-        tops = list(cube._tops(2))
+        tops = [top for top, _, _ in cube.batches(2, 1)]
         assert tops == sorted(set(tops))
         # every skipped top already violates transitivity in its fixed bits
         skipped = set(range(1 << cube.free - 2)) - set(tops)
@@ -517,6 +517,61 @@ class TestCubeBatches:
             for k in range(4):
                 rows = rows_from_encoding(4, cube.encoding(top << 2 | k))
                 assert not relation_class.admits(4, rows)
+
+    @pytest.mark.parametrize("relation_class", TRANSITIVE)
+    @pytest.mark.parametrize("level_bits", [2, 3, relations._LEVEL_BITS])
+    def test_each_term_is_checked_once_at_the_level_that_decides_it(
+        self, relation_class, level_bits
+    ):
+        cube = class_cube(4, relation_class)
+        levels = cube._levels(2, 8, level_bits)
+        # the levels tile the free bits from the top down, the batch's last
+        assert levels[-1][:2] == (0, 2)
+        assert [hi for _, hi, *_ in levels] == [cube.free] + [
+            lo for lo, *_ in levels[:-1]
+        ]
+        checked = [(term, lo, hi) for lo, hi, _, _, terms in levels for term in terms]
+        assert sorted(term for term, _, _ in checked) == sorted(cube._terms)
+        for term, lo, hi in checked:
+            assert lo <= cube._terms[term] < hi
+
+    def test_a_changed_level_width_builds_its_own_levels(self, monkeypatch):
+        # the walk at the default width first, so a cache keyed without the
+        # level width would hand the second walk the default levels
+        cube = class_cube(3, RelationClass.Rt)
+        expected = list(cube.batches(2, 8))
+        widths = []
+        violations = relations._violations
+
+        def recorded(terms, values, ones):
+            widths.append(ones.bit_length())
+            return violations(terms, values, ones)
+
+        monkeypatch.setattr(relations, "_violations", recorded)
+        monkeypatch.setattr(relations, "_LEVEL_BITS", 2)
+        assert list(cube.batches(2, 8)) == expected
+        # free bits 8, 6-7, 4-5 and 2-3 above the batch's 2 bits of width 8
+        assert sorted(set(widths)) == [2, 4, 32]
+        assert len(cube._levels(2, 8, 2)) == 5
+
+    @pytest.mark.parametrize(
+        "relation_class, size",
+        [
+            (RelationClass.R, 1 << 25),
+            (RelationClass.Rr, 1 << 20),
+            (RelationClass.Rser, 31**5),
+        ],
+    )
+    def test_the_scan_batches_hold_every_member_at_five(self, relation_class, size):
+        # R and Rser are too large to count through class_rows in tier-1; a
+        # member is one set bit of its block in the batch's mask
+        counted = sum(
+            (mask & frame.starts).bit_count()
+            for frame, _, mask, _ in properties._cube_batches(
+                5, class_cube(5, relation_class)
+            )
+        )
+        assert counted == size
 
     def test_only_transitive_classes_are_packed_and_class_rows_is_not_read(
         self, monkeypatch
@@ -624,11 +679,14 @@ class TestSharedConstants:
             assert isinstance(frame.sets, tuple) and len(frame.sets) == frame.n
         batch = properties._Batch(frames[0], [[0]], Pairing.DUAL_SUCC, ())
         assert batch.values["X"] is frames[0].sets
-        assert isinstance(relations._index_variables(3, 8), tuple)
+        assert isinstance(relations.index_variables(3, 8), tuple)
         cube = class_cube(3, RelationClass.Rt)
         assert isinstance(cube._positions[1], tuple)
         assert isinstance(cube._low_table(cube.free), tuple)
-        assert isinstance(cube._decided(0, cube.free), tuple)
+        levels = cube._levels(2, 8, 2)
+        assert isinstance(levels, tuple)
+        assert all(isinstance(level, tuple) for level in levels)
+        assert all(isinstance(part, tuple) for *_, v, t in levels for part in (v, t))
 
 
 @pytest.fixture
