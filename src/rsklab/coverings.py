@@ -21,6 +21,7 @@ equal on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import InputError, RskError
@@ -56,19 +57,23 @@ class Covering:
     def block_masks(self) -> tuple[int, ...]:
         return tuple(block.bits for block in self.blocks)
 
+    @cached_property
+    def _neighborhoods(self) -> tuple[int, ...]:
+        """N(x) for every x, built once per covering."""
+        masks = self.block_masks()
+        out = []
+        for x in range(self.universe.size):
+            acc = self.universe.full_mask
+            for mask in masks:
+                if mask >> x & 1:
+                    acc &= mask
+            out.append(acc)
+        return tuple(out)
+
 
 def neighborhood_masks(covering: Covering) -> list[int]:
     """N(x) for every x; the kernel the operators below share."""
-    n = covering.universe.size
-    masks = covering.block_masks()
-    out = []
-    for x in range(n):
-        acc = covering.universe.full_mask
-        for mask in masks:
-            if mask >> x & 1:
-                acc &= mask
-        out.append(acc)
-    return out
+    return list(covering._neighborhoods)
 
 
 def neighborhood(covering: Covering, x: int) -> Subset:
@@ -151,7 +156,7 @@ def ct_upper(covering: Covering, x_set: Subset) -> Subset:
 
 def induced_relation(covering: Covering) -> BinaryRelation:
     """The relation with successor rows N(x); always a pre-order."""
-    return BinaryRelation(covering.universe, tuple(neighborhood_masks(covering)))
+    return BinaryRelation(covering.universe, covering._neighborhoods)
 
 
 def _ct_tables(

@@ -16,6 +16,7 @@ files fail with a line/field diagnostic.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any
 
@@ -33,12 +34,15 @@ from .relations import (
 
 def _load_json(path: str | Path) -> Any:
     try:
-        with open(path, encoding="utf-8") as file:
-            text = file.read()
+        with open(path, "rb", buffering=0) as file:
+            text = file.read().decode("utf-8")
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    if "\r" in text:
+        # text mode's universal newlines, so error lines and columns match it
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -109,13 +113,17 @@ def resolve_element(universe: Universe, token: Any) -> int:
 def _parse_pairs(universe: Universe, value: Any, context: str) -> list[tuple[int, int]]:
     if not isinstance(value, list):
         raise InputError(f"{context}: expected a list of pairs")
-    pairs = []
+    size, pairs = universe.size, []
     try:
         for i, entry in enumerate(value):
             if not isinstance(entry, list) or len(entry) != 2:
                 raise InputError("a pair must be a 2-element list")
-            pairs.append((resolve_element(universe, entry[0]),
-                          resolve_element(universe, entry[1])))
+            x, y = entry
+            if not (type(x) is int and 0 <= x < size):
+                x = resolve_element(universe, x)
+            if not (type(y) is int and 0 <= y < size):
+                y = resolve_element(universe, y)
+            pairs.append((x, y))
     except InputError as exc:
         raise InputError(f"{context}[{i}]: {exc}") from None
     return pairs
@@ -124,10 +132,12 @@ def _parse_pairs(universe: Universe, value: Any, context: str) -> list[tuple[int
 def _parse_elements(universe: Universe, value: Any, context: str) -> Subset:
     if not isinstance(value, list):
         raise InputError(f"{context}: expected a list of elements")
-    bits = 0
+    size, bits = universe.size, 0
     try:
         for i, token in enumerate(value):
-            bits |= 1 << resolve_element(universe, token)
+            if not (type(token) is int and 0 <= token < size):
+                token = resolve_element(universe, token)
+            bits |= 1 << token
     except InputError as exc:
         raise InputError(f"{context}[{i}]: {exc}") from None
     return Subset(universe, bits)
@@ -169,8 +179,43 @@ def load_frame(path: str | Path) -> ImplicationFrame:
 
 
 def dump_json(obj: Any) -> str:
-    """The one JSON writer for reports: two-space indent, UTF-8 kept as is."""
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """The one JSON writer for reports: two-space indent, UTF-8 kept as is.
+
+    Writes what ``json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"``
+    does, without the pure-Python encoder that ``indent`` selects, for the
+    types reports hold: dicts with str keys, lists, tuples, str, int, bool
+    and None. Any other type raises ``TypeError``.
+    """
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(value: Any, newline: str) -> str:
+    """``value`` as JSON, its nested lines starting with ``newline`` plus two spaces."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        items, brackets = [_encode(item, inner) for item in value], "[]"
+    elif isinstance(value, dict):
+        # encode_basestring raises TypeError on a key that is not a str
+        items = [encode_basestring(key) + ": " + _encode(item, inner)
+                 for key, item in value.items()]
+        brackets = "{}"
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable"
+        )
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
 def subset_to_labels(subset: Subset) -> list[str]:

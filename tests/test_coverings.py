@@ -130,6 +130,16 @@ class TestCtOperators:
         with pytest.raises(RskError, match="^internal inconsistency: "):
             ct_upper(OVERLAP, Subset.of(U3, [0]))
 
+    def test_a_covering_builds_its_neighbourhoods_once(self, monkeypatch):
+        calls = []
+        real = Covering.block_masks
+        monkeypatch.setattr(Covering, "block_masks", lambda c: calls.append(c) or real(c))
+        covering = Covering(U3, OVERLAP.blocks)
+        assert induced_relation(covering).rows == (0b011, 0b010, 0b110)
+        assert verify_reduction(covering)
+        assert ct_upper(covering, Subset.of(U3, [0])).members() == (0, 1)
+        assert calls == [covering]
+
     def test_partition_covering_reduces_to_granule_operators(self):
         parts = Covering(U3, (Subset.of(U3, [0, 1]), Subset.of(U3, [2])))
         equivalence = induced_relation(parts)

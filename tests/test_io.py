@@ -3,9 +3,18 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsklab import CapacityError, InputError, Universe
-from rsklab.io import load_covering, load_frame, load_relation, load_subset
+from rsklab.io import (
+    _load_json,
+    dump_json,
+    load_covering,
+    load_frame,
+    load_relation,
+    load_subset,
+)
 from rsklab.relations import MAX_INPUT_SIZE
 
 
@@ -230,3 +239,155 @@ class TestExactMessages:
     def test_container_that_is_not_a_list(self, tmp_path, loader, obj, message):
         path, text = load_message(tmp_path, loader, obj)
         assert text == f"{path}: {message}"
+
+
+class TestMixedTokens:
+    """Bare in-range indices are read inline; every other token keeps its message."""
+
+    @pytest.mark.parametrize("container", ["pairs", "implies"])
+    def test_indices_and_labels_name_the_same_pairs(self, tmp_path, container):
+        loader, _ = CONTAINERS[container]
+        key = "universe" if container == "pairs" else "propositions"
+        labelled = loader(write(tmp_path, "l.json", {key: LABELS, container: [
+            ["a", "b"], ["c", "a"], ["b", "b"]]}))
+        mixed = loader(write(tmp_path, "m.json", {key: LABELS, container: [
+            [0, "b"], ["c", 0], [1, 1]]}))
+        assert mixed == labelled
+
+    @pytest.mark.parametrize("entry, message", [
+        ([0, 3], "index 3 out of range"),
+        ([3, 0], "index 3 out of range"),
+        ([2, -1], "index -1 out of range"),
+        ([0, "z"], "unknown element 'z'"),
+        ([False, 0], "False is not an element"),
+    ], ids=repr)
+    def test_a_bad_token_beside_an_index(self, tmp_path, entry, message):
+        path, text = load_entry(tmp_path, "pairs", entry)
+        assert text == f"{path}: pairs[1]: {message}"
+
+    @pytest.mark.parametrize("tokens, message", [
+        ([0, 2, 3], "set[2]: index 3 out of range"),
+        ([2, "c", -1], "set[2]: index -1 out of range"),
+        ([1, "z"], "set[1]: unknown element 'z'"),
+    ], ids=repr)
+    def test_a_bad_set_element_beside_indices(self, tmp_path, tokens, message):
+        path, text = load_message(tmp_path, load_set, {"set": tokens})
+        assert text == f"{path}: {message}"
+
+    def test_indices_and_labels_name_the_same_set(self, tmp_path):
+        mixed = load_set(write(tmp_path, "s.json", {"set": [2, "a", 0]}))
+        assert mixed.members() == (0, 2)
+
+
+def text_mode_load(path):
+    """The reader that binary reads replaced: a text-mode ``open``, whose
+    universal newlines read CR and CRLF as LF. The oracle of its messages."""
+    try:
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(
+            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
+    except ValueError:
+        raise InputError(f"{path}: a number has too many digits") from None
+
+
+def outcome(load, path):
+    """The value ``load`` reads from ``path``, or its whole error message."""
+    try:
+        return "value", load(path)
+    except InputError as exc:
+        return "error", str(exc)
+
+
+SYNTAX_ERROR = b'{"universe": ["a"],\n "pairs": [["a",\n "a"] }\n'
+
+
+class TestReadMatchesTextMode:
+    """``_load_json`` reads bytes, yet reads and fails as text mode did."""
+
+    @pytest.mark.parametrize("data", [
+        SYNTAX_ERROR,
+        SYNTAX_ERROR.replace(b"\n", b"\r\n"),
+        SYNTAX_ERROR.replace(b"\n", b"\r"),
+        SYNTAX_ERROR.replace(b"\n", b"\r\r\n"),
+        b'{"set":\r\n ["a\r\nb"]}',
+        b'\xef\xbb\xbf{"set": []}',
+        b'{"set": ["a"],\r\n "x": "\xc3\xa9\xff"}',
+        b'{"set":\r\n [\r' + b"[" * 100_000,
+        b'{"set": [' + b"7" * 5000 + b"]}",
+        b'{"set":\r\n ["a",\r "b"]}\r\n',
+    ], ids=["lf", "crlf", "cr", "cr-crlf", "cr-in-string", "bom", "bad-utf8",
+            "deep", "digits", "valid"])
+    def test_file(self, tmp_path, data):
+        path = tmp_path / "in.json"
+        path.write_bytes(data)
+        assert outcome(_load_json, path) == outcome(text_mode_load, path)
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_line_ends_keep_the_line_and_column(self, tmp_path, newline):
+        lf, other = tmp_path / "lf.json", tmp_path / "other.json"
+        lf.write_bytes(SYNTAX_ERROR)
+        other.write_bytes(SYNTAX_ERROR.replace(b"\n", newline))
+        _, lf_text = outcome(_load_json, lf)
+        _, text = outcome(_load_json, other)
+        assert lf_text.endswith(": line 3 column 7: Expecting ',' delimiter")
+        assert text == lf_text.replace(str(lf), str(other))
+
+    def test_invalid_utf8_names_its_byte(self, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_bytes(b'{"set":\r\n ["\xc3\xa9", "\xe2\x82"]}')
+        assert outcome(_load_json, path) == (
+            "error", f"{path}: not UTF-8 text (byte 18)")
+
+    @pytest.mark.parametrize("name", ["absent.json", "."])
+    def test_unreadable_path(self, tmp_path, name):
+        path = tmp_path / name
+        kind, text = outcome(_load_json, path)
+        assert kind == "error" and (kind, text) == outcome(text_mode_load, path)
+
+
+# quotes, backslashes, control characters, non-ASCII and astral characters
+TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x08\t\n\x0c\r\x1f\x7fé \U0001f600'),
+    st.characters(),
+))
+TREES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(min_value=-(1 << 5000), max_value=1 << 5000),
+        st.sampled_from([(1 << 5000) - 1, -(1 << 4999)]),
+        TEXT,
+    ),
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(TEXT, children),
+    ),
+    max_leaves=30,
+)
+
+
+class TestDumpJson:
+    @settings(max_examples=200, deadline=None)
+    @given(value=TREES)
+    def test_matches_the_indenting_encoder(self, value):
+        assert dump_json(value) == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+    @pytest.mark.parametrize("value", [
+        1.5, {1, 2}, {"a": [0, 2.0]}, [frozenset()], {1: "a"}, {None: 0},
+    ], ids=repr)
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            dump_json(value)
