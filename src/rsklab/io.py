@@ -95,9 +95,11 @@ def parse_universe(value: Any, context: str) -> Universe:
 
 
 def resolve_element(universe: Universe, token: Any) -> int:
-    """The index ``token`` names; an error names the token, callers its place."""
-    if type(token) is int and 0 <= token < universe.size:
-        return token
+    """The index a label names, or the error a bad token gives.
+
+    Callers take a bare in-range int index themselves and pass every other
+    token here. An error names the token, callers its place.
+    """
     if isinstance(token, bool):
         raise InputError(f"{token!r} is not an element")
     if isinstance(token, int):

@@ -622,16 +622,15 @@ class ClassCube:
         )
 
     def batches(
-        self, low: int, width: int, with_bits: bool = True
-    ) -> Iterator[tuple[int, list[list[int]] | None, int]]:
+        self, low: int, width: int
+    ) -> Iterator[tuple[int, list[list[int]], int]]:
         """``(top, bits, mask)`` per batch of the cube indices ``top << low | k``.
 
         Index k is the k-th block of ``width`` bits of each int: ``bits[x][y]``
         has the blocks whose relation holds (x, y), and ``mask`` those of
-        the members. ``bits`` is None when ``with_bits`` is false and the
-        cube is not serial. Batches come in cube order. The one walk over
-        a cube, a descent through ``_levels``: at each level the bits above
-        it are fixed, as constant 0 or all-ones ints, and its mask is the
+        the members. Batches come in cube order. The one walk over a cube,
+        a descent through ``_levels``: at each level the bits above it are
+        fixed, as constant 0 or all-ones ints, and its mask is the
         bit-sliced check of the terms it decides over every assignment of
         its own bits. An upper level extends only its set bits, so a batch
         whose fixed bits already violate transitivity is never built; a
@@ -639,9 +638,7 @@ class ClassCube:
         """
         levels = self._levels(low, width, _LEVEL_BITS)
 
-        def descend(
-            top: int, depth: int
-        ) -> Iterator[tuple[int, list[list[int]] | None, int]]:
+        def descend(top: int, depth: int) -> Iterator[tuple[int, list[list[int]], int]]:
             lo, hi, ones, variables, terms = levels[depth]
             fixed = tuple(ones if top >> i & 1 else 0 for i in range(self.free - hi))
             values = variables + fixed
@@ -650,10 +647,7 @@ class ClassCube:
                 for k in _set_bits(mask):
                     yield from descend(top << hi - lo | k, depth + 1)
                 return
-            bits = None
-            if with_bits or self.serial:
-                bits = [[values[i] if i >= 0 else ones for i in row]
-                        for row in self.layout]
+            bits = [[values[i] if i >= 0 else ones for i in row] for row in self.layout]
             if self.serial:
                 mask &= reduce(and_, (reduce(or_, row) for row in bits), ones)
             if mask:
@@ -678,7 +672,7 @@ class ClassCube:
         """
         low = min(self.free, _LEVEL_BITS)
         table = self._low_table(low)
-        for top, _, mask in self.batches(low, 1, with_bits=False):
+        for top, _, mask in self.batches(low, 1):
             base = self.encoding(top << low)
             yield from [base | table[k] for k in _set_bits(mask)]
 

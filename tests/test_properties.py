@@ -600,21 +600,6 @@ class TestCubeBatches:
             for cls in RelationClass:
                 assert class_cube(n, cls).transitive == (cls in TRANSITIVE)
 
-    @pytest.mark.parametrize("relation_class", list(RelationClass))
-    def test_a_walk_without_bits_yields_the_same_batches(
-        self, monkeypatch, relation_class
-    ):
-        monkeypatch.setattr(relations, "_LEVEL_BITS", 2)
-        cube = class_cube(4, relation_class)
-        full = list(cube.batches(2, 1))
-        bare = list(cube.batches(2, 1, with_bits=False))
-        assert [(top, mask) for top, _, mask in bare] == [
-            (top, mask) for top, _, mask in full
-        ]
-        # a serial cube needs its bits for its mask; no other cube builds them
-        expected = [bits for _, bits, _ in full] if cube.serial else [None] * len(full)
-        assert [bits for _, bits, _ in bare] == expected
-
 
 def clear_shared_constants():
     """Empty every functools cache of the scan's modules and their classes."""
