@@ -82,8 +82,8 @@ def _cmd_approx(args: argparse.Namespace) -> _Result:
     return {
         "pairing": pairing.value,
         "op": args.op,
-        "set": rio.subset_to_labels(x_set),
-        "result": rio.subset_to_labels(result),
+        "set": x_set.labels(),
+        "result": result.labels(),
     }, 0
 
 
@@ -101,7 +101,7 @@ def _cmd_check(args: argparse.Namespace) -> _Result:
     result = check_relation(args.row, pairing, relation)
     obj: dict = {"row": args.row, "pairing": pairing.value, "holds": result.holds}
     if not result.holds:
-        obj["counterexample"] = {"x": rio.subset_to_labels(result.x)}
+        obj["counterexample"] = {"x": result.x.labels()}
     return obj, 0 if result.holds else 1
 
 
@@ -131,7 +131,7 @@ def _cmd_covering(args: argparse.Namespace) -> _Result:
     verified = verify_reduction(covering)
     universe = covering.universe
     neighborhoods = {
-        universe.label(x): rio.subset_to_labels(Subset(universe, row))
+        universe.label(x): Subset(universe, row).labels()
         for x, row in enumerate(relation.rows)
     }
     return {
@@ -145,9 +145,9 @@ def _cmd_logic(args: argparse.Namespace) -> _Result:
     frame = rio.load_frame(args.frame)
     p_set = rio.load_subset(args.set, frame.propositions)
     return {
-        "set": rio.subset_to_labels(p_set),
-        "closure": rio.subset_to_labels(deductive_closure(frame, p_set)),
-        "interior": rio.subset_to_labels(largest_theory_within(frame, p_set)),
+        "set": p_set.labels(),
+        "closure": deductive_closure(frame, p_set).labels(),
+        "interior": largest_theory_within(frame, p_set).labels(),
         "set_is_theory": is_theory(frame, p_set),
     }, 0
 

@@ -58,8 +58,8 @@ class Covering:
         return tuple(block.bits for block in self.blocks)
 
     @cached_property
-    def _neighborhoods(self) -> tuple[int, ...]:
-        """N(x) for every x, built once per covering."""
+    def neighborhoods(self) -> tuple[int, ...]:
+        """N(x) for every x, built once per covering and read by the operators below."""
         masks = self.block_masks()
         out = []
         for x in range(self.universe.size):
@@ -71,15 +71,10 @@ class Covering:
         return tuple(out)
 
 
-def neighborhood_masks(covering: Covering) -> list[int]:
-    """N(x) for every x; the kernel the operators below share."""
-    return list(covering._neighborhoods)
-
-
 def neighborhood(covering: Covering, x: int) -> Subset:
     """Intersection of all blocks containing x; always contains x."""
     covering.universe.check_index(x)
-    return Subset(covering.universe, neighborhood_masks(covering)[x])
+    return Subset(covering.universe, covering.neighborhoods[x])
 
 
 def definable_masks(covering: Covering) -> list[int]:
@@ -88,12 +83,7 @@ def definable_masks(covering: Covering) -> list[int]:
     Contains the empty union and the whole universe; sorted ascending. A
     covering with k distinct neighbourhoods costs a 2^k join table.
     """
-    return _definable(neighborhood_masks(covering))
-
-
-def _definable(neigh: list[int]) -> list[int]:
-    """``definable_masks`` from the neighbourhoods N(x)."""
-    return sorted(set(join_table(sorted(set(neigh)))))
+    return sorted(set(join_table(sorted(set(covering.neighborhoods)))))
 
 
 def definable_family(covering: Covering) -> list[Subset]:
@@ -104,11 +94,11 @@ def is_definable(covering: Covering, candidate: Subset) -> bool:
     """Pointwise test: D equals the union of N(x) over its own members."""
     if candidate.universe != covering.universe:
         raise InputError("set and covering belong to different universes")
-    return _ct(neighborhood_masks(covering), candidate.bits)[1] == candidate.bits
+    return _ct(covering.neighborhoods, candidate.bits)[1] == candidate.bits
 
 
 def _ct(
-    neigh: list[int], bits: int, definable: list[int] | None = None
+    neigh: tuple[int, ...], bits: int, definable: list[int] | None = None
 ) -> tuple[int, int]:
     """(C_t lower, C_t upper) of one set from the neighbourhoods N(x).
 
@@ -138,7 +128,7 @@ def ct_lower(covering: Covering, x_set: Subset) -> Subset:
     """Union of all neighbourhoods contained in the set."""
     if x_set.universe != covering.universe:
         raise InputError("set and covering belong to different universes")
-    return Subset(covering.universe, _ct(neighborhood_masks(covering), x_set.bits)[0])
+    return Subset(covering.universe, _ct(covering.neighborhoods, x_set.bits)[0])
 
 
 def ct_upper(covering: Covering, x_set: Subset) -> Subset:
@@ -149,18 +139,17 @@ def ct_upper(covering: Covering, x_set: Subset) -> Subset:
     """
     if x_set.universe != covering.universe:
         raise InputError("set and covering belong to different universes")
-    neigh = neighborhood_masks(covering)
-    _, upper_bits = _ct(neigh, x_set.bits, _definable(neigh))
+    _, upper_bits = _ct(covering.neighborhoods, x_set.bits, definable_masks(covering))
     return Subset(covering.universe, upper_bits)
 
 
 def induced_relation(covering: Covering) -> BinaryRelation:
     """The relation with successor rows N(x); always a pre-order."""
-    return BinaryRelation(covering.universe, covering._neighborhoods)
+    return BinaryRelation(covering.universe, covering.neighborhoods)
 
 
 def _ct_tables(
-    neigh: list[int], definable: Iterable[int]
+    neigh: tuple[int, ...], definable: Iterable[int]
 ) -> tuple[list[int], list[int]]:
     """(C_t lower, C_t upper) of all 2^n sets, tabulated by mask.
 
@@ -200,7 +189,7 @@ def verify_reduction(covering: Covering) -> bool:
     """C_t operators equal the non-dual pair of the induced relation, all subsets."""
     n = covering.universe.size
     check_capacity(n)
-    neigh = neighborhood_masks(covering)
+    neigh = covering.neighborhoods
     lower_table, upper_table = approx_tables(n, neigh, Pairing.NONDUAL)
     return _ct_tables(neigh, upper_table) == (lower_table, upper_table)
 

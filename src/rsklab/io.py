@@ -23,13 +23,7 @@ from typing import Any
 from .coverings import Covering
 from .errors import CapacityError, InputError
 from .logic import ImplicationFrame
-from .relations import (
-    BinaryRelation,
-    Subset,
-    Universe,
-    build_relation,
-    check_input_size,
-)
+from .relations import BinaryRelation, Subset, Universe, check_input_size
 
 
 def _load_json(path: str | Path) -> Any:
@@ -88,10 +82,8 @@ def parse_universe(value: Any, context: str) -> Universe:
     try:
         check_input_size(size)
         return Universe(size, labels)
-    except CapacityError as exc:
-        raise CapacityError(f"{context}: {exc}") from None
-    except InputError as exc:
-        raise InputError(f"{context}: {exc}") from None
+    except (CapacityError, InputError) as exc:
+        raise type(exc)(f"{context}: {exc}") from None
 
 
 def resolve_element(universe: Universe, token: Any) -> int:
@@ -105,17 +97,15 @@ def resolve_element(universe: Universe, token: Any) -> int:
     if isinstance(token, int):
         raise InputError(f"index {token} out of range")
     if isinstance(token, str):
-        try:
-            return universe.index(token)
-        except InputError:
-            raise InputError(f"unknown element {token!r}") from None
+        return universe.index(token)
     raise InputError(f"{token!r} is not an element")
 
 
-def _parse_pairs(universe: Universe, value: Any, context: str) -> list[tuple[int, int]]:
+def _parse_relation(universe: Universe, value: Any, context: str) -> BinaryRelation:
     if not isinstance(value, list):
         raise InputError(f"{context}: expected a list of pairs")
-    size, pairs = universe.size, []
+    size = universe.size
+    rows = [0] * size
     try:
         for i, entry in enumerate(value):
             if not isinstance(entry, list) or len(entry) != 2:
@@ -125,10 +115,10 @@ def _parse_pairs(universe: Universe, value: Any, context: str) -> list[tuple[int
                 x = resolve_element(universe, x)
             if not (type(y) is int and 0 <= y < size):
                 y = resolve_element(universe, y)
-            pairs.append((x, y))
+            rows[x] |= 1 << y
     except InputError as exc:
         raise InputError(f"{context}[{i}]: {exc}") from None
-    return pairs
+    return BinaryRelation(universe, tuple(rows))
 
 
 def _parse_elements(universe: Universe, value: Any, context: str) -> Subset:
@@ -148,8 +138,7 @@ def _parse_elements(universe: Universe, value: Any, context: str) -> Subset:
 def load_relation(path: str | Path) -> BinaryRelation:
     obj = _require_object(_load_json(path), f"{path}", {"universe", "pairs"})
     universe = parse_universe(obj["universe"], f"{path}: universe")
-    pairs = _parse_pairs(universe, obj["pairs"], f"{path}: pairs")
-    return build_relation(universe, pairs)
+    return _parse_relation(universe, obj["pairs"], f"{path}: pairs")
 
 
 def load_subset(path: str | Path, universe: Universe) -> Subset:
@@ -176,8 +165,8 @@ def load_covering(path: str | Path) -> Covering:
 def load_frame(path: str | Path) -> ImplicationFrame:
     obj = _require_object(_load_json(path), f"{path}", {"propositions", "implies"})
     universe = parse_universe(obj["propositions"], f"{path}: propositions")
-    pairs = _parse_pairs(universe, obj["implies"], f"{path}: implies")
-    return ImplicationFrame(universe, build_relation(universe, pairs))
+    relation = _parse_relation(universe, obj["implies"], f"{path}: implies")
+    return ImplicationFrame(universe, relation)
 
 
 def dump_json(obj: Any) -> str:
@@ -218,7 +207,3 @@ def _encode(value: Any, newline: str) -> str:
     if not items:
         return brackets
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
-
-
-def subset_to_labels(subset: Subset) -> list[str]:
-    return list(subset.labels())

@@ -30,7 +30,7 @@ from rsklab import (
 )
 from rsklab import coverings
 from rsklab.cli import main
-from rsklab.coverings import definable_masks, neighborhood_masks
+from rsklab.coverings import definable_masks
 from rsklab.properties import PROPERTY_ROWS
 from rsklab.relations import class_rows
 from rsklab.tables import REFERENCE_NONDUAL, TABLE_CLASSES
@@ -119,14 +119,13 @@ class TestCtOperators:
         self, monkeypatch
     ):
         calls = []
-        real = coverings.neighborhood_masks
-        monkeypatch.setattr(
-            coverings, "neighborhood_masks", lambda c: calls.append(c) or real(c)
-        )
-        assert ct_upper(OVERLAP, Subset.of(U3, [0])).members() == (0, 1)
-        assert calls == [OVERLAP]
+        real = Covering.block_masks
+        monkeypatch.setattr(Covering, "block_masks", lambda c: calls.append(c) or real(c))
+        covering = Covering(U3, OVERLAP.blocks)
+        assert ct_upper(covering, Subset.of(U3, [0])).members() == (0, 1)
+        assert calls == [covering]
         # the intersection form still runs, over the family built from them
-        monkeypatch.setattr(coverings, "_definable", lambda neigh: [U3.full_mask])
+        monkeypatch.setattr(coverings, "definable_masks", lambda c: [U3.full_mask])
         with pytest.raises(RskError, match="^internal inconsistency: "):
             ct_upper(OVERLAP, Subset.of(U3, [0]))
 
@@ -252,7 +251,7 @@ class TestReduction:
         small = [c for n in (1, 2, 3) for c in enumerate_coverings(n)]
         for covering in [*small, *(random_covering(rng, 5) for _ in range(20))]:
             tables = coverings._ct_tables(
-                neighborhood_masks(covering), definable_masks(covering)
+                covering.neighborhoods, definable_masks(covering)
             )
             assert tables == ct_mask_tables(covering), covering
 
@@ -287,7 +286,7 @@ class TestNeighbourhoodSystems:
     # the pre-orders on n labelled points: OEIS A000798
     @pytest.mark.parametrize("n, count", [(1, 1), (2, 4), (3, 29), (4, 355)])
     def test_coverings_induce_exactly_the_preorders(self, n, count):
-        systems = {tuple(neighborhood_masks(c)) for c in enumerate_coverings(n)}
+        systems = {c.neighborhoods for c in enumerate_coverings(n)}
         assert systems == {rows for _, rows in class_rows(n, RelationClass.Rrt)}
         assert len(systems) == count
 
@@ -298,7 +297,7 @@ class TestNeighbourhoodSystems:
         universe = Universe(n)
         for _, rows in class_rows(n, RelationClass.Rrt):
             successor_sets = Covering.from_masks(universe, rows)
-            assert neighborhood_masks(successor_sets) == list(rows)
+            assert successor_sets.neighborhoods == rows
             assert verify_reduction(successor_sets)
 
 

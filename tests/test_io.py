@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsklab import CapacityError, InputError, Universe
+from rsklab import CapacityError, ImplicationFrame, InputError, Universe, build_relation
 from rsklab.io import (
     _load_json,
     dump_json,
@@ -277,6 +277,44 @@ class TestMixedTokens:
     def test_indices_and_labels_name_the_same_set(self, tmp_path):
         mixed = load_set(write(tmp_path, "s.json", {"set": [2, "a", 0]}))
         assert mixed.members() == (0, 2)
+
+
+@st.composite
+def pair_files(draw):
+    """A universe of n <= 6, its pairs (duplicated and shuffled), and the
+    file entries that name them, each token a bare index or a label."""
+    n = draw(st.integers(0, 6))
+    labels = draw(st.none() | st.lists(st.text(), min_size=n, max_size=n, unique=True))
+    universe = Universe(n, labels)
+    pairs = []
+    if n:
+        index = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.tuples(index, index), max_size=3 * n))
+        if pairs:
+            pairs += draw(st.lists(st.sampled_from(pairs), max_size=n))
+        pairs = draw(st.permutations(pairs))
+    token = st.sampled_from(["index", "label"])
+    entries = [
+        [x if draw(token) == "index" else universe.label(x) for x in pair]
+        for pair in pairs
+    ]
+    return universe, pairs, {"size": n} if labels is None else labels, entries
+
+
+class TestOnePassMatchesBuildRelation:
+    """The loaders build a relation's rows as they read its pairs, into
+    the relation that ``build_relation`` makes of the same pairs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=pair_files())
+    def test_relation_and_frame_files(self, tmp_path_factory, case):
+        universe, pairs, named, entries = case
+        relation = build_relation(universe, pairs)
+        path = tmp_path_factory.getbasetemp() / "pairs.json"
+        path.write_text(json.dumps({"universe": named, "pairs": entries}))
+        assert load_relation(path) == relation
+        path.write_text(json.dumps({"propositions": named, "implies": entries}))
+        assert load_frame(path) == ImplicationFrame(universe, relation)
 
 
 def text_mode_load(path):
