@@ -61,41 +61,29 @@ class Characterization(Enum):
         )
 
 
-@dataclass(frozen=True)
-class _Conjunct:
-    """A property row, the class it characterizes, and a refuting set's bits.
+# Each conjunct row's class and the bits of its refuting set, from the rows
+# and the class's violating tuple: the constructive set of the
+# contrapositive argument.
+_ROW_CLASSES: dict[
+    int, tuple[RelationClass, Callable[[Sequence[int], Violation], int]]
+] = {
+    6: (RelationClass.Rr, lambda rows, v: rows[v[0]]),
+    7: (RelationClass.Rr, lambda rows, v: 1 << v[0]),
+    23: (RelationClass.Rs, lambda rows, v: rows[v[1]]),
+    18: (RelationClass.Rt, lambda rows, v: 1 << v[2]),
+    21: (RelationClass.Rt, lambda rows, v: 1 << v[0]),
+}
 
-    ``witness`` maps the rows and the class's violating tuple to the bits.
-    """
-
-    row: int
-    relation_class: RelationClass
-    witness: Callable[[Sequence[int], Violation], int]
-
-
-# The conjuncts, in the order the composite theorems state them; each
-# witness is the constructive set of the contrapositive argument.
-_REFL_LOWER = _Conjunct(6, RelationClass.Rr, lambda rows, v: rows[v[0]])
-_REFL_UPPER = _Conjunct(7, RelationClass.Rr, lambda rows, v: 1 << v[0])
-_SYM = _Conjunct(23, RelationClass.Rs, lambda rows, v: rows[v[1]])
-_TRANS_UPPER = _Conjunct(18, RelationClass.Rt, lambda rows, v: 1 << v[2])
-_TRANS_NONDUAL = _Conjunct(21, RelationClass.Rt, lambda rows, v: 1 << v[0])
-
-_BINDINGS: dict[Characterization, tuple[Pairing, tuple[_Conjunct, ...]]] = {
-    Characterization.REFLEXIVE_LOWER: (Pairing.DUAL_SUCC, (_REFL_LOWER,)),
-    Characterization.REFLEXIVE_UPPER: (Pairing.DUAL_SUCC, (_REFL_UPPER,)),
-    Characterization.SYMMETRIC: (Pairing.DUAL_SUCC, (_SYM,)),
-    Characterization.TRANSITIVE_UPPER: (Pairing.DUAL_SUCC, (_TRANS_UPPER,)),
-    Characterization.EQUIVALENCE: (
-        Pairing.DUAL_SUCC,
-        (_REFL_LOWER, _SYM, _TRANS_UPPER),
-    ),
-    Characterization.EQUIVALENCE_ALT: (
-        Pairing.DUAL_SUCC,
-        (_REFL_UPPER, _SYM, _TRANS_UPPER),
-    ),
-    Characterization.TRANSITIVE_NONDUAL: (Pairing.NONDUAL, (_TRANS_NONDUAL,)),
-    Characterization.PREORDER: (Pairing.NONDUAL, (_REFL_LOWER, _TRANS_NONDUAL)),
+# Each characterization's pairing and conjunct rows, in theorem order.
+_BINDINGS: dict[Characterization, tuple[Pairing, tuple[int, ...]]] = {
+    Characterization.REFLEXIVE_LOWER: (Pairing.DUAL_SUCC, (6,)),
+    Characterization.REFLEXIVE_UPPER: (Pairing.DUAL_SUCC, (7,)),
+    Characterization.SYMMETRIC: (Pairing.DUAL_SUCC, (23,)),
+    Characterization.TRANSITIVE_UPPER: (Pairing.DUAL_SUCC, (18,)),
+    Characterization.EQUIVALENCE: (Pairing.DUAL_SUCC, (6, 23, 18)),
+    Characterization.EQUIVALENCE_ALT: (Pairing.DUAL_SUCC, (7, 23, 18)),
+    Characterization.TRANSITIVE_NONDUAL: (Pairing.NONDUAL, (21,)),
+    Characterization.PREORDER: (Pairing.NONDUAL, (6, 21)),
 }
 
 
@@ -104,7 +92,7 @@ def characterization_pairing(c: Characterization) -> Pairing:
 
 
 def characterization_rows(c: Characterization) -> tuple[int, ...]:
-    return tuple(conjunct.row for conjunct in _BINDINGS[c][1])
+    return _BINDINGS[c][1]
 
 
 @dataclass(frozen=True)
@@ -122,15 +110,11 @@ def check_biconditional(
     c: Characterization, relation: BinaryRelation
 ) -> ConsistencyRecord:
     """Evaluate both sides of one biconditional independently."""
-    pairing, conjuncts = _BINDINGS[c]
+    pairing, rows = _BINDINGS[c]
     lo, up = approx_tables(relation.universe.size, relation.rows, pairing)
     full = relation.universe.full_mask
-    property_holds = not relation_failures(
-        [property_row(conjunct.row) for conjunct in conjuncts], lo, up, full
-    )
-    class_holds = all(
-        conjunct.relation_class.contains(relation) for conjunct in conjuncts
-    )
+    property_holds = not relation_failures(map(property_row, rows), lo, up, full)
+    class_holds = all(_ROW_CLASSES[row][0].contains(relation) for row in rows)
     return ConsistencyRecord(c, property_holds, class_holds)
 
 
@@ -141,10 +125,11 @@ def proof_witness(c: Characterization, relation: BinaryRelation) -> Subset:
     first conjunct (in theorem order) whose class predicate fails.
     """
     rows = relation.rows
-    for conjunct in _BINDINGS[c][1]:
-        violation = conjunct.relation_class.violation(relation.universe.size, rows)
+    for row in _BINDINGS[c][1]:
+        relation_class, witness = _ROW_CLASSES[row]
+        violation = relation_class.violation(relation.universe.size, rows)
         if violation is not None:
-            return Subset(relation.universe, conjunct.witness(rows, violation))
+            return Subset(relation.universe, witness(rows, violation))
     raise NoWitnessError(
         f"relation satisfies the {c.value} class predicate; nothing to refute"
     )

@@ -188,7 +188,6 @@ def _ct_tables(
 def verify_reduction(covering: Covering) -> bool:
     """C_t operators equal the non-dual pair of the induced relation, all subsets."""
     n = covering.universe.size
-    check_capacity(n)
     neigh = covering.neighborhoods
     lower_table, upper_table = approx_tables(n, neigh, Pairing.NONDUAL)
     return _ct_tables(neigh, upper_table) == (lower_table, upper_table)

@@ -4,10 +4,11 @@ Rows 1-23 match the shared row numbering of the two verdict tables; rows
 8-13 quantify over an ordered pair of subsets, all other rows over one
 subset.
 
-Each one-set row is declared once, as data: a conjunction of inclusions
-``P ⊆ Q`` of words over l, u and ¬ (complement), each spelled with its
-set, the row's X or a fixed ∅ or V: ``"ulX"`` is u(l(X)) and ``"l∅"`` is
-l(∅). Row 1 (duality) is the four inclusions of ``l(¬X) = ¬u(X)`` and
+Each one-set row is declared once, as data: a conjunction of inclusions,
+each a pair ``(sub, sup)`` of words read as ``sub ⊆ sup``. A word is over
+l, u and ¬ (complement) and spelled with its set, the row's X or a fixed ∅
+or V: ``("ulX", "lX")`` is u(l(X)) ⊆ l(X) and ``"l∅"`` is l(∅). Row 1
+(duality) is the four inclusions of ``l(¬X) = ¬u(X)`` and
 ``u(¬X) = ¬l(X)``; rows 2-5 read only ∅ or V, ignore X, and so have the
 witness X=∅; every other one-set row is a single inclusion. Two algebras
 read the same words, keyed by their spelling, each compiled from them:
@@ -104,32 +105,22 @@ _Eval = Callable[[Sequence[int], Sequence[int], int, int, int], bool]
 
 
 @dataclass(frozen=True)
-class Inclusion:
-    """``P ⊆ Q`` for words P and Q over l, u and ¬ (complement), each
-    spelled with its set.
-
-    A word reads right to left, as composition, and ends in its set: the
-    row's set X, or the fixed set ∅ or V. ``"ulX"`` is u(l(X)), ``"l∅"`` is
-    l(∅) and ``"V"`` is V itself.
-    """
-
-    sub: str
-    sup: str
-
-
-@dataclass(frozen=True)
 class PropertyRow:
     """One table row: an executable predicate over (lower, upper, X[, Y]).
 
-    A one-set row's ``evaluate`` is compiled from its ``inclusions``; rows
-    8-13 have a predicate and no inclusions.
+    A one-set row's ``evaluate`` is compiled from its ``inclusions``, each a
+    pair ``(sub, sup)`` of words read as ``sub ⊆ sup``; rows 8-13 have a
+    predicate and no inclusions. A word over l, u and ¬ (complement) reads
+    right to left, as composition, and ends in its set: the row's set X, or
+    the fixed set ∅ or V. ``"ulX"`` is u(l(X)), ``"l∅"`` is l(∅) and ``"V"``
+    is V itself.
     """
 
     index: int
     label: str
     two_set: bool
     evaluate: _Eval
-    inclusions: tuple[Inclusion, ...] = ()
+    inclusions: tuple[tuple[str, str], ...] = ()
 
 
 # The table algebra: lo and up are one relation's tables by mask, f the
@@ -146,10 +137,10 @@ def _table_term(word: str) -> str:
     return term
 
 
-def _one_set(index: int, label: str, *inclusions: Inclusion) -> PropertyRow:
+def _one_set(index: int, label: str, *inclusions: tuple[str, str]) -> PropertyRow:
     """A one-set row; ``evaluate`` is its inclusions compiled to one expression."""
     test = " and ".join(
-        f"not {_table_term(i.sub)} & ~{_table_term(i.sup)}" for i in inclusions
+        f"not {_table_term(sub)} & ~{_table_term(sup)}" for sub, sup in inclusions
     )
     # the source holds only the fixed words of PROPERTY_ROWS
     evaluate = eval(f"lambda lo, up, f, x, y: {test}")
@@ -202,33 +193,33 @@ PROPERTY_ROWS: tuple[PropertyRow, ...] = (
     _one_set(
         1,
         "duality of l(X), u(X)",
-        Inclusion("l¬X", "¬uX"),
-        Inclusion("¬uX", "l¬X"),
-        Inclusion("u¬X", "¬lX"),
-        Inclusion("¬lX", "u¬X"),
+        ("l¬X", "¬uX"),
+        ("¬uX", "l¬X"),
+        ("u¬X", "¬lX"),
+        ("¬lX", "u¬X"),
     ),
-    _one_set(2, "l(∅) = ∅", Inclusion("l∅", "∅")),
-    _one_set(3, "∅ = u(∅)", Inclusion("u∅", "∅")),
-    _one_set(4, "l(V) = V", Inclusion("V", "lV")),
-    _one_set(5, "u(V) = V", Inclusion("V", "uV")),
-    _one_set(6, "l(X) ⊆ X", Inclusion("lX", "X")),
-    _one_set(7, "X ⊆ u(X)", Inclusion("X", "uX")),
+    _one_set(2, "l(∅) = ∅", ("l∅", "∅")),
+    _one_set(3, "∅ = u(∅)", ("u∅", "∅")),
+    _one_set(4, "l(V) = V", ("V", "lV")),
+    _one_set(5, "u(V) = V", ("V", "uV")),
+    _one_set(6, "l(X) ⊆ X", ("lX", "X")),
+    _one_set(7, "X ⊆ u(X)", ("X", "uX")),
     PropertyRow(8, "X ⊆ Y ⇒ l(X) ⊆ l(Y)", True, _p08),
     PropertyRow(9, "X ⊆ Y ⇒ u(X) ⊆ u(Y)", True, _p09),
     PropertyRow(10, "u(X∪Y) = u(X) ∪ u(Y)", True, _p10),
     PropertyRow(11, "l(X∩Y) = l(X) ∩ l(Y)", True, _p11),
     PropertyRow(12, "l(X∪Y) ⊇ l(X) ∪ l(Y)", True, _p12),
     PropertyRow(13, "u(X∩Y) ⊆ u(X) ∩ u(Y)", True, _p13),
-    _one_set(14, "l(l(X)) ⊆ l(X)", Inclusion("llX", "lX")),
-    _one_set(15, "l(l(X)) ⊇ l(X)", Inclusion("lX", "llX")),
-    _one_set(16, "u(l(X)) ⊆ l(X)", Inclusion("ulX", "lX")),
-    _one_set(17, "u(l(X)) ⊇ l(X)", Inclusion("lX", "ulX")),
-    _one_set(18, "u(u(X)) ⊆ u(X)", Inclusion("uuX", "uX")),
-    _one_set(19, "u(u(X)) ⊇ u(X)", Inclusion("uX", "uuX")),
-    _one_set(20, "l(u(X)) ⊆ u(X)", Inclusion("luX", "uX")),
-    _one_set(21, "u(X) ⊆ l(u(X))", Inclusion("uX", "luX")),
-    _one_set(22, "X ⊆ l(u(X))", Inclusion("X", "luX")),
-    _one_set(23, "u(l(X)) ⊆ X", Inclusion("ulX", "X")),
+    _one_set(14, "l(l(X)) ⊆ l(X)", ("llX", "lX")),
+    _one_set(15, "l(l(X)) ⊇ l(X)", ("lX", "llX")),
+    _one_set(16, "u(l(X)) ⊆ l(X)", ("ulX", "lX")),
+    _one_set(17, "u(l(X)) ⊇ l(X)", ("lX", "ulX")),
+    _one_set(18, "u(u(X)) ⊆ u(X)", ("uuX", "uX")),
+    _one_set(19, "u(u(X)) ⊇ u(X)", ("uX", "uuX")),
+    _one_set(20, "l(u(X)) ⊆ u(X)", ("luX", "uX")),
+    _one_set(21, "u(X) ⊆ l(u(X))", ("uX", "luX")),
+    _one_set(22, "X ⊆ l(u(X))", ("X", "luX")),
+    _one_set(23, "u(l(X)) ⊆ X", ("ulX", "X")),
 )
 
 
@@ -349,8 +340,8 @@ def _needed(indices: frozenset[int]) -> tuple[tuple[str, str, str], ...]:
     for row in map(property_row, indices):
         if row.two_set:
             words |= {"uX", "lX"}
-        for i in row.inclusions:
-            for word in (i.sub, i.sup):
+        for pair in row.inclusions:
+            for word in pair:
                 words.update(word[start:] for start in range(len(word) - 1))
     ordered = sorted(words, key=lambda word: (len(word), word))
     return tuple((word, word[0], word[1:]) for word in ordered)
@@ -368,8 +359,8 @@ class _FailMasks(dict):
 
     def __missing__(self, index: int) -> Callable[[Sequence[Sequence[int]], int], int]:
         test = " | ".join(
-            f"v[{i.sub!r}][{w}] & (ones ^ v[{i.sup!r}][{w}])"
-            for i in property_row(index).inclusions
+            f"v[{sub!r}][{w}] & (ones ^ v[{sup!r}][{w}])"
+            for sub, sup in property_row(index).inclusions
             for w in range(self.n)
         )
         # the source holds only the fixed words of PROPERTY_ROWS and integers

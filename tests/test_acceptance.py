@@ -302,8 +302,7 @@ def _covering_problems(covering: Covering, ticked_rows) -> list[str]:
     return problems
 
 
-def test_criterion_5_covering_reduction(monkeypatch):
-    monkeypatch.setenv("RSK_MAX_N", "5")
+def test_criterion_5_covering_reduction():
     started = time.perf_counter()
     rrt = TABLE_CLASSES.index(RelationClass.Rrt)
     ticked = [row for row in range(1, 24) if REFERENCE_NONDUAL[row][rrt] == "+"]

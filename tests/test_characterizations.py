@@ -11,6 +11,7 @@ from rsklab import (
     Characterization,
     InputError,
     NoWitnessError,
+    Pairing,
     Subset,
     Universe,
     build_relation,
@@ -19,10 +20,12 @@ from rsklab import (
     eval_property,
     proof_witness,
 )
+from rsklab import characterizations
 from rsklab.characterizations import (
     characterization_pairing,
     characterization_rows,
 )
+from rsklab.properties import property_row
 from rsklab.relations import MAX_INPUT_SIZE
 
 U2 = Universe(2)
@@ -61,6 +64,35 @@ def conjunction_at(c: Characterization, relation, witness) -> bool:
         eval_property(row, pairing, relation, witness)
         for row in characterization_rows(c)
     )
+
+
+# The module docstring's table: each characterization's pairing and its
+# conjunct rows, in theorem order.
+DOCSTRING_TABLE = {
+    Characterization.REFLEXIVE_LOWER: (Pairing.DUAL_SUCC, (6,)),
+    Characterization.REFLEXIVE_UPPER: (Pairing.DUAL_SUCC, (7,)),
+    Characterization.SYMMETRIC: (Pairing.DUAL_SUCC, (23,)),
+    Characterization.TRANSITIVE_UPPER: (Pairing.DUAL_SUCC, (18,)),
+    Characterization.EQUIVALENCE: (Pairing.DUAL_SUCC, (6, 23, 18)),
+    Characterization.EQUIVALENCE_ALT: (Pairing.DUAL_SUCC, (7, 23, 18)),
+    Characterization.TRANSITIVE_NONDUAL: (Pairing.NONDUAL, (21,)),
+    Characterization.PREORDER: (Pairing.NONDUAL, (6, 21)),
+}
+
+
+class TestBindings:
+    @pytest.mark.parametrize("c", ALL, ids=lambda c: c.value)
+    def test_pairing_and_rows_are_the_docstring_table(self, c):
+        pairing, rows = DOCSTRING_TABLE[c]
+        assert characterization_pairing(c) is pairing
+        assert characterization_rows(c) == rows
+
+    def test_a_one_row_line_of_the_docstring_states_its_row(self):
+        lines = characterizations.__doc__.splitlines()
+        for c, (_, rows) in DOCSTRING_TABLE.items():
+            if len(rows) == 1:
+                line = next(line for line in lines if f"``{c.name}``" in line)
+                assert property_row(rows[0]).label in line, c
 
 
 class TestWorkedExamples:

@@ -149,6 +149,21 @@ class TestTable:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "bound, message",
+        [
+            ("abc", "RSK_MAX_N must be an integer, got 'abc'"),
+            ("-1", "RSK_MAX_N must be nonnegative, got -1"),
+        ],
+    )
+    def test_bad_capacity_bound_is_one_line_exit_two(
+        self, capsys, monkeypatch, bound, message
+    ):
+        monkeypatch.setenv("RSK_MAX_N", bound)
+        code, out, err = run(capsys, ["table", "--pairing", "dual", "--max-n", "1"])
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_negative_max_n_is_one_line_exit_two(self, capsys):
         code, out, err = run(capsys, ["table", "--pairing", "dual", "--max-n", "-1"])
         assert code == 2 and out == ""
@@ -569,8 +584,28 @@ class TestErrorPaths:
                 "a number has too many digits",
             ),
             (b"\xff\xfe\x00garbage", "not UTF-8 text (byte 0)"),
+            (b"[]", "expected a JSON object"),
+            (
+                b'{"universe": ["a", 1], "pairs": []}',
+                "universe: universe labels must be strings",
+            ),
+            *(
+                (
+                    b'{"universe": {"size": ' + size + b'}, "pairs": []}',
+                    "universe: size must be a nonnegative integer",
+                )
+                for size in (b"-1", b"true", b'"3"')
+            ),
+            (
+                b'{"universe": "abc", "pairs": []}',
+                'universe: universe must be a list of labels or {"size": n}',
+            ),
         ],
-        ids=["deeply-nested", "over-digit-limit", "not-utf8"],
+        ids=[
+            "deeply-nested", "over-digit-limit", "not-utf8", "not-an-object",
+            "label-not-a-string", "size-negative", "size-bool", "size-string",
+            "universe-string",
+        ],
     )
     def test_malformed_file_is_one_line_exit_two(
         self, capsys, tmp_path, content, message
@@ -719,5 +754,15 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert err == (
             f"error: {frame}: propositions: universe size 17 exceeds the per-input"
+            " limit 16\n"
+        )
+
+    def test_oversized_covering_is_exit_two(self, capsys, tmp_path):
+        labels = [f"e{i}" for i in range(17)]
+        covering = write(tmp_path, "c.json", {"universe": labels, "blocks": [labels]})
+        code, out, err = run(capsys, ["covering", "--covering", covering])
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: {covering}: universe: universe size 17 exceeds the per-input"
             " limit 16\n"
         )

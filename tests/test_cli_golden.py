@@ -1,9 +1,10 @@
 """Byte-exact CLI output: stdout and exit code of one command per report shape.
 
 Each case's expected stdout is ``tests/golden/cli/<name>.out`` and its exit
-code is in ``tests/golden/cli/exits.json``. Input files live in the same
-directory; ``{dir}`` in an argument stands for it. The fixtures pin the
-serialized bytes, so any change to key order, spacing or escaping fails here.
+code is in ``tests/golden/cli/exits.json``; each runs with ``RSK_MAX_N``
+unset. Input files live in the same directory; ``{dir}`` in an argument
+stands for it. The fixtures pin the serialized bytes, so any change to key
+order, spacing or escaping fails here.
 """
 
 import json
@@ -76,6 +77,8 @@ CASES = {
         "characterize", "--id", "preorder", "--relation", "{dir}/chain.json",
     ],
     "covering": ["covering", "--covering", "{dir}/covering.json"],
+    # five elements, over the default RSK_MAX_N: only the per-input gate applies
+    "covering_n5": ["covering", "--covering", "{dir}/covering_n5.json"],
     "logic": [
         "logic", "--frame", "{dir}/frame.json", "--set", "{dir}/frame_set.json",
     ],
@@ -99,7 +102,8 @@ def assert_pinned(name, capsys):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_stdout_and_exit_code_are_pinned(name, capsys):
+def test_stdout_and_exit_code_are_pinned(name, capsys, monkeypatch):
+    monkeypatch.delenv("RSK_MAX_N", raising=False)
     assert_pinned(name, capsys)
 
 

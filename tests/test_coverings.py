@@ -76,6 +76,33 @@ class TestConstruction:
         with pytest.raises(InputError, match="cover"):
             Covering(U3, (Subset.of(U3, [0, 1]),))
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: Covering(U3, (Subset.full(U3), Subset.full(Universe(2)))),
+                "block 1 belongs to a different universe",
+            ),
+            (
+                lambda: is_definable(OVERLAP, Subset.empty(Universe(2))),
+                "set and covering belong to different universes",
+            ),
+            (
+                lambda: ct_lower(OVERLAP, Subset.empty(Universe(2))),
+                "set and covering belong to different universes",
+            ),
+            (
+                lambda: ct_upper(OVERLAP, Subset.empty(Universe(2))),
+                "set and covering belong to different universes",
+            ),
+        ],
+        ids=["block", "is_definable", "ct_lower", "ct_upper"],
+    )
+    def test_foreign_universe_is_rejected(self, call, message):
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == message
+
     def test_duplicate_blocks_change_nothing(self):
         doubled = Covering(U3, OVERLAP.blocks + OVERLAP.blocks)
         for x in range(3):
@@ -232,8 +259,7 @@ class TestReduction:
                 covering = Covering(u, tuple(Subset.of(u, b) for b in blocks))
                 assert verify_reduction(covering)
 
-    def test_seeded_random_coverings_at_five(self, monkeypatch):
-        monkeypatch.setenv("RSK_MAX_N", "5")
+    def test_seeded_random_coverings_at_five(self):
         rng = random.Random(515253)
         for _ in range(40):
             covering = random_covering(rng, 5)
@@ -292,8 +318,7 @@ class TestNeighbourhoodSystems:
 
     # 1, 4, 29, 355 and 6,942 pre-orders
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_reduction_holds_on_every_preorder(self, n, monkeypatch):
-        monkeypatch.setenv("RSK_MAX_N", "5")
+    def test_reduction_holds_on_every_preorder(self, n):
         universe = Universe(n)
         for _, rows in class_rows(n, RelationClass.Rrt):
             successor_sets = Covering.from_masks(universe, rows)

@@ -46,6 +46,12 @@ class TestConstruction:
         with pytest.raises(InputError):
             ImplicationFrame(PQR, build_relation(Universe(2), []))
 
+    def test_theory_of_a_foreign_universe_is_rejected(self, p_implies_q):
+        with pytest.raises(
+            InputError, match="^set and frame belong to different universes$"
+        ):
+            is_theory(p_implies_q, Subset.empty(Universe(2)))
+
 
 class TestWorkedExamples:
     def test_closure_of_a_premise(self, p_implies_q):

@@ -97,6 +97,19 @@ class TestEvalProperty:
                 6, Pairing.DUAL_SUCC, CHAIN, Subset.empty(U3), Subset.empty(U3)
             )
 
+    @pytest.mark.parametrize(
+        "index, sets",
+        [
+            (6, [Subset.empty(Universe(2))]),
+            (8, [Subset.empty(U3), Subset.empty(Universe(2))]),
+        ],
+        ids=["x", "y"],
+    )
+    def test_foreign_universe_is_rejected(self, index, sets):
+        with pytest.raises(InputError) as exc:
+            eval_property(index, Pairing.DUAL_SUCC, CHAIN, *sets)
+        assert str(exc.value) == "set and relation belong to different universes"
+
     def test_two_set_row(self):
         x_set, y_set = Subset.of(U3, [0]), Subset.of(U3, [0, 1])
         assert eval_property(8, Pairing.DUAL_SUCC, CHAIN, x_set, y_set)
@@ -382,7 +395,7 @@ class TestCompiledKernels:
             row = property_row(index)
             if row.two_set:
                 return {"uX", "lX"}
-            spelled = [word for i in row.inclusions for word in (i.sub, i.sup)]
+            spelled = [word for pair in row.inclusions for word in pair]
             return {word[-k:] for word in spelled for k in range(2, len(word) + 1)}
 
         rows = range(1, 24)

@@ -112,6 +112,48 @@ class TestBuildRelation:
     def test_transpose(self):
         assert rel(3, [(0, 1), (1, 2)]).transpose().pairs() == ((1, 0), (2, 1))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: Subset(Universe(3), 8),
+                "bitmask 0x8 does not fit a universe of size 3",
+            ),
+            (
+                lambda: Subset(Universe(3), -1),
+                "bitmask -0x1 does not fit a universe of size 3",
+            ),
+            (
+                lambda: BinaryRelation(Universe(2), (0,)),
+                "1 rows given for a universe of size 2",
+            ),
+            (
+                lambda: BinaryRelation(Universe(2), (0, 4)),
+                "row 1 does not fit the universe",
+            ),
+            (
+                lambda: BinaryRelation(Universe(2), (-1, 0)),
+                "row 0 does not fit the universe",
+            ),
+            (
+                lambda: BinaryRelation.from_encoding(Universe(2), 16),
+                "encoding 16 does not fit 2x2 relations",
+            ),
+            (
+                lambda: BinaryRelation.from_encoding(Universe(2), -1),
+                "encoding -1 does not fit 2x2 relations",
+            ),
+        ],
+        ids=[
+            "subset-over", "subset-negative", "row-count", "row-over", "row-negative",
+            "encoding-over", "encoding-negative",
+        ],
+    )
+    def test_out_of_range_construction_is_rejected(self, build, message):
+        with pytest.raises(InputError) as exc:
+            build()
+        assert str(exc.value) == message
+
 
 class TestClassify:
     def test_identity_is_equivalence(self):
@@ -329,16 +371,12 @@ class TestEnumeration:
             lambda n: next(enumerate_relations(n)),
             lambda n: search_class(1, Pairing.DUAL_SUCC, RelationClass.Rrst, n),
             lambda n: generate_table(Pairing.DUAL_SUCC, n),
-            lambda n: verify_reduction(
-                Covering.from_masks(Universe(n), [(1 << n) - 1])
-            ),
             lambda n: next(enumerate_coverings(n)),
         ],
         ids=[
             "enumerate_relations",
             "search_class",
             "generate_table",
-            "verify_reduction",
             "enumerate_coverings",
         ],
     )
@@ -349,6 +387,18 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             run(3)
         run(2)
+
+    def test_verify_reduction_has_only_the_per_input_gate(self, monkeypatch):
+        """It tabulates one covering's subsets, so RSK_MAX_N does not bound it."""
+        def covering(n):
+            return Covering.from_masks(Universe(n), [(1 << n) - 1])
+
+        monkeypatch.setenv("RSK_MAX_N", "2")
+        assert verify_reduction(covering(5))
+        with pytest.raises(
+            CapacityError, match=r"^universe size 17 exceeds the per-input limit 16$"
+        ):
+            verify_reduction(covering(17))
 
 
 class TestViolations:
