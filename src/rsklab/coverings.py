@@ -25,8 +25,8 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import InputError, RskError
-from .operators import Pairing, approx_tables, join_table
-from .relations import BinaryRelation, Subset, Universe, check_capacity
+from .operators import Pairing, approx_tables
+from .relations import BinaryRelation, Subset, Universe, check_capacity, join_table
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from .relations import (
     RelationClass,
     Subset,
     check_input_size,
+    join_table,
     transpose_rows,
 )
 
@@ -91,14 +92,6 @@ def _reads(pairing: Pairing, n: int, rows: Sequence[int]) -> tuple[bool, bool]:
             "the granule-based pairing needs an equivalence relation"
         )
     return _READS_TRANSPOSE[pairing]
-
-
-def join_table(atoms: Sequence[int]) -> list[int]:
-    """Table by mask X of the union of ``atoms[y]`` over the bits y of X."""
-    table = [0]  # bit i doubles the table
-    for atom in atoms:
-        table += [image | atom for image in table]
-    return table
 
 
 def approx_tables(

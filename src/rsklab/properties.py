@@ -13,9 +13,9 @@ or V: ``("ulX", "lX")`` is u(l(X)) ⊆ l(X) and ``"l∅"`` is l(∅). Row 1
 witness X=∅; every other one-set row is a single inclusion. Two algebras
 read the same words, keyed by their spelling, each compiled from them:
 each row's ``evaluate`` once, at import, over one relation's tables; and
-each row's fail mask once per size, over bit-sliced sets, on the first
-scan that asks for that row. Rows 8-13 keep their predicates, which only
-``eval_property`` reads.
+each row's fail mask by ``_fail_mask``, once per (size, row), over
+bit-sliced sets, when a scan first asks for that row at that size. Rows
+8-13 keep their predicates, which only ``eval_property`` reads.
 
 Row 13 is stated here as ``u(X∩Y) ⊆ u(X) ∩ u(Y)``; the reverse inclusion
 fails already for equivalence relations, so only this direction is
@@ -61,18 +61,18 @@ transitivity masks (``ClassCube.members``) and packed, their rows
 through bytes, into batches of members only. A set becomes n ints, and
 each word is O(n²) big-int ANDs and ORs over every relation and every X
 of the batch, by the operators ``operators.sliced_operators`` compiles
-per pairing and size. A batch evaluates only the words its pending rows
-read, with the words inside them, each once and inner words first
-(``_needed``, kept per set of pending rows), and the scan looks that
-list up again only when a row is settled. A one-set row's
+per pairing and size. ``_words`` evaluates, per batch, only the words
+its pending rows read, with the words inside them, each once and inner
+words first (``_needed``, kept per set of pending rows), and the scan
+looks that list up again only when a row is settled. A one-set row's
 fail mask is the OR of its inclusions' violations, and its lowest set
 bit among the class members, ``k * 2^n + X``, is the row's witness: the
 minimal failing member k and its minimal X. Rows 8-13 hold for every
-relation, so the scan asserts them: it computes ``_morphisms`` on the
-sliced operators, reading the batch's u(X) and l(X) and each member's
-u({a}) and l(V minus {a}) off its own block, and a member failing it is
-an error in the sliced kernels, raised as an internal inconsistency,
-never a counterexample.
+relation, so the scan asserts them: ``_morphism_failures`` computes
+``_morphisms`` on the sliced operators, reading the batch's u(X) and l(X)
+and each member's u({a}) and l(V minus {a}) off its own block, and a
+member failing it is an error in the sliced kernels, raised as an
+internal inconsistency, never a counterexample.
 
 A refuted verdict always carries the canonically minimal counterexample:
 smallest universe size, then smallest relation encoding, then smallest X
@@ -347,29 +347,17 @@ def _needed(indices: frozenset[int]) -> tuple[tuple[str, str, str], ...]:
     return tuple((word, word[0], word[1:]) for word in ordered)
 
 
-class _FailMasks(dict):
-    """Per one-set row index, its fail mask from a batch's values and ones:
-    the OR of every inclusion's violations, compiled to one expression on
-    the row's first lookup, so a scan compiles only the rows it asks for and
-    every later lookup is a dict hit."""
-
-    def __init__(self, n: int):
-        super().__init__()
-        self.n = n
-
-    def __missing__(self, index: int) -> Callable[[Sequence[Sequence[int]], int], int]:
-        test = " | ".join(
-            f"v[{sub!r}][{w}] & (ones ^ v[{sup!r}][{w}])"
-            for sub, sup in property_row(index).inclusions
-            for w in range(self.n)
-        )
-        # the source holds only the fixed words of PROPERTY_ROWS and integers
-        mask = self[index] = eval(f"lambda v, ones: {test}")
-        return mask
-
-
-# The fail masks of the one-set rows, one dict per size a scan reaches.
-_fail_masks = cache(_FailMasks)
+@cache  # one per (size, one-set row) that a scan reaches
+def _fail_mask(n: int, index: int) -> Callable[[dict[str, Sequence[int]], int], int]:
+    """The row's fail mask from a batch's words and ones: the OR of every
+    inclusion's violations, compiled to one expression."""
+    test = " | ".join(
+        f"v[{sub!r}][{w}] & (ones ^ v[{sup!r}][{w}])"
+        for sub, sup in property_row(index).inclusions
+        for w in range(n)
+    )
+    # the source holds only the fixed words of PROPERTY_ROWS and integers
+    return eval(f"lambda v, ones: {test}")
 
 
 # Bits per batch of the column scan: each int of the pass is 128 KB
@@ -458,54 +446,47 @@ def _cube_batches(n: int, cube: ClassCube) -> _Batches:
         yield frame, bits, mask, lambda k, base=top << low: cube.encoding(base | k)
 
 
-class _Batch:
-    """A batch of n-element relations, bit-sliced over (member, subset).
+def _words(
+    frame: _Frame,
+    bits: list[list[int]],
+    pairing: Pairing,
+    needed: Sequence[tuple[str, str, str]],
+) -> dict[str, Sequence[int]]:
+    """``word -> set`` over a batch of n-element relations, bit-sliced over
+    (member, subset): the sets X, ∅ and V, and each word of ``needed``,
+    evaluated once, in its order. A set is n ints, entry w holding the
+    positions whose set contains w."""
+    n, ones = frame.n, frame.ones
+    lower, upper = sliced_operators(pairing, n)
+    values = {"X": frame.sets, "∅": (0,) * n, "V": (ones,) * n}
+    for word, letter, inner in needed:
+        if letter == "l":
+            values[word] = lower(bits, ones, values[inner])
+        elif letter == "u":
+            values[word] = upper(bits, ones, values[inner])
+        else:
+            values[word] = [ones ^ v for v in values[inner]]
+    return values
 
-    A set is n ints, entry w holding the positions whose set contains w.
-    ``values[word]`` is the set ``word`` at every position: the sets X, ∅
-    and V, and each word of ``needed``, evaluated once, in its order.
-    ``frame`` and ``ones`` are the frame's, for the checks that read them.
+
+def _morphism_failures(frame: _Frame, values: dict[str, Sequence[int]]) -> int:
+    """The positions where ``_morphisms`` fails, on the sliced operators.
+
+    At position X, u fails when u(X) differs from the union of u({a})
+    over a in X, and l fails when l(X) differs from the intersection of
+    l(V minus {a}) over a not in X; so at X = ∅, u(∅) must be ∅, and at
+    X = V, l(V) must be V. A member's u({a}) is read off its block at
+    position {a} and widened to the whole block, as is its l(V minus {a}).
     """
-
-    def __init__(
-        self,
-        frame: _Frame,
-        bits: list[list[int]],
-        pairing: Pairing,
-        needed: Sequence[tuple[str, str, str]],
-    ):
-        n, ones = frame.n, frame.ones
-        self.frame, self.ones = frame, ones
-        lower, upper = sliced_operators(pairing, n)
-        values = {"X": frame.sets, "∅": (0,) * n, "V": (ones,) * n}
-        for word, letter, inner in needed:
-            if letter == "l":
-                values[word] = lower(bits, ones, values[inner])
-            elif letter == "u":
-                values[word] = upper(bits, ones, values[inner])
-            else:
-                values[word] = [ones ^ v for v in values[inner]]
-        self.values = values
-
-    def morphism_failures(self) -> int:
-        """The positions where ``_morphisms`` fails, on the sliced operators.
-
-        At position X, u fails when u(X) differs from the union of u({a})
-        over a in X, and l fails when l(X) differs from the intersection of
-        l(V minus {a}) over a not in X; so at X = ∅, u(∅) must be ∅, and at
-        X = V, l(V) must be V. A member's u({a}) is read off its block at
-        position {a} and widened to the whole block, as is its l(V minus {a}).
-        """
-        frame, ones = self.frame, self.ones
-        fill, starts, full = frame.fill, frame.starts, frame.width - 1
-        fails = 0
-        for u, l in zip(self.values["uX"], self.values["lX"]):
-            joined, met = 0, ones
-            for a, s in enumerate(frame.sets):
-                joined |= s & fill(u >> (1 << a) & starts)
-                met &= s | fill(l >> (full ^ 1 << a) & starts)
-            fails |= u ^ joined | l ^ met
-        return fails
+    ones, fill, starts, full = frame.ones, frame.fill, frame.starts, frame.width - 1
+    fails = 0
+    for u, l in zip(values["uX"], values["lX"]):
+        joined, met = 0, ones
+        for a, s in enumerate(frame.sets):
+            joined |= s & fill(u >> (1 << a) & starts)
+            met &= s | fill(l >> (full ^ 1 << a) & starts)
+        fails |= u ^ joined | l ^ met
+    return fails
 
 
 def scan_class_failures(
@@ -543,20 +524,19 @@ def scan_class_failures(
             batches = _member_batches(n, cube)
         else:
             batches = _cube_batches(n, cube)
-        fail_masks = _fail_masks(n)
         for frame, bits, mask, encoding_of in batches:
             if needed is None:
                 needed = _needed(frozenset(pending))
-            batch = _Batch(frame, bits, pairing, needed)
+            values = _words(frame, bits, pairing, needed)
             for index in [index for index, row in pending.items() if not row.two_set]:
-                fails = fail_masks[index](batch.values, batch.ones) & mask
+                fails = _fail_mask(n, index)(values, frame.ones) & mask
                 if fails:  # bit k * 2^n + X: member k fails at X, both minimal
                     low = (fails & -fails).bit_length() - 1
                     found[index] = (n, encoding_of(low >> n), low & full, None)
                     del pending[index]
                     needed = None  # the words of the rows left, at the next batch
-            fails = batch.morphism_failures() & mask if morphisms else 0
-            del batch  # its words are freed before the next batch is built
+            fails = _morphism_failures(frame, values) & mask if morphisms else 0
+            del values  # its words are freed before the next batch is built
             if fails:
                 encoding = encoding_of((fails & -fails).bit_length() - 1 >> n)
                 raise RskError(

@@ -511,6 +511,14 @@ def tile(block: int, width: int, count: int) -> int:
     return tiled & (1 << width * count) - 1
 
 
+def join_table(atoms: Sequence[int]) -> list[int]:
+    """Table by mask X of the union of ``atoms[y]`` over the bits y of X."""
+    table = [0]  # bit i doubles the table
+    for atom in atoms:
+        table += [image | atom for image in table]
+    return table
+
+
 @cache  # shared by every scan: a few pairs a size, read-only
 def index_variables(bits: int, width: int) -> tuple[int, ...]:
     """The bit-sliced indices k < 2^bits, index k a block of ``width`` bits.
@@ -658,10 +666,7 @@ class ClassCube:
     @cache  # one width per cube and _LEVEL_BITS, and class_cube keeps the cube
     def _low_table(self, low: int) -> tuple[int, ...]:
         """Entry k: the free encoding bits of cube index k < 2^low."""
-        table = [0]  # bit i of k doubles it
-        for position in self._positions[1][:low]:
-            table += [e | position for e in table]
-        return tuple(table)
+        return tuple(join_table(self._positions[1][:low]))
 
     def members(self) -> Iterator[int]:
         """The encodings of the members, ascending.

@@ -1,7 +1,6 @@
 """Property rows: single-assignment evaluation, per-relation quantification
 and the class-wide counterexample search."""
 
-import copy
 import functools
 import itertools
 import json
@@ -335,20 +334,20 @@ class TestCompiledKernels:
             listed = list(class_rows(n, members))
             frame = properties._Frame(n, len(listed))
             bits = properties._member_bits(frame, [encoding for encoding, _ in listed])
-            batch = properties._Batch(frame, bits, pairing, everything)
+            values = properties._words(frame, bits, pairing, everything)
             words = {word for word, _, _ in everything}
-            assert batch.values.keys() == {"X", "∅", "V"} | words
+            assert values.keys() == {"X", "∅", "V"} | words
             one_set = [row.index for row in PROPERTY_ROWS if not row.two_set]
             assert len(one_set) == 17
             fail_masks = {
-                index: properties._fail_masks(n)[index](batch.values, batch.ones)
+                index: properties._fail_mask(n, index)(values, frame.ones)
                 for index in one_set
             }
             for k, (_, rows) in enumerate(listed):
                 lo, up = approx_tables(n, rows, pairing)
                 for x in range(full + 1):
                     position = (k << n) + x
-                    for word, sliced in batch.values.items():
+                    for word, sliced in values.items():
                         value = sum(1 << w for w in range(n) if sliced[w] >> position & 1)
                         assert value == table_word(word, lo, up, full, x), (
                             n, rows, word, x
@@ -373,9 +372,9 @@ class TestCompiledKernels:
                 encodings = [rng.getrandbits(n * n) for _ in range(16)]
             frame = properties._Frame(n, len(encodings))
             bits = properties._member_bits(frame, encodings)
-            batch = properties._Batch(frame, bits, pairing, needed)
+            values = properties._words(frame, bits, pairing, needed)
             fail_masks = {
-                row: properties._fail_masks(n)[row.index](batch.values, batch.ones)
+                row: properties._fail_mask(n, row.index)(values, frame.ones)
                 for row in one_set
             }
             for k, encoding in enumerate(encodings):
@@ -412,22 +411,28 @@ class TestCompiledKernels:
             assert evaluated == {"X", "∅", "V"} | expected, indices
 
     def test_a_scan_compiles_only_the_fail_masks_of_its_rows(self):
-        properties._fail_masks.cache_clear()
+        fail_mask = properties._fail_mask
+        fail_mask.cache_clear()
         failures = scan_class_failures(Pairing.DUAL_SUCC, RelationClass.Rr, 4, [6, 15])
         assert list(failures) == [15] and failures[15][0] == 3
         # row 15 settles at n = 3, so n = 4 compiles row 6 alone
-        compiled = [sorted(properties._fail_masks(n)) for n in range(1, 5)]
-        assert compiled == [[6, 15], [6, 15], [6, 15], [6]]
-        mask = properties._fail_masks(4)[6]
-        assert properties._fail_masks(4)[6] is mask
+        compiled = [(n, row) for n in range(1, 4) for row in (6, 15)] + [(4, 6)]
+        info = fail_mask.cache_info()
+        assert info.currsize == info.misses == len(compiled) == 7
+        for n, row in compiled:
+            hits = fail_mask.cache_info().hits
+            mask = fail_mask(n, row)
+            assert fail_mask.cache_info().hits == hits + 1, (n, row)
+            assert fail_mask(n, row) is mask
 
     def test_a_scan_evaluates_only_the_words_of_its_pending_rows(self, monkeypatch):
         evaluated, calls = [], []
-        init, compiled = properties._Batch.__init__, properties.sliced_operators
+        words, compiled = properties._words, properties.sliced_operators
 
-        def recorded(batch, *args):
-            init(batch, *args)
-            evaluated.append(set(batch.values) - {"X", "∅", "V"})
+        def recorded(*args):
+            values = words(*args)
+            evaluated.append(set(values) - {"X", "∅", "V"})
+            return values
 
         def counted(pairing, n):
             lower, upper = compiled(pairing, n)
@@ -442,7 +447,7 @@ class TestCompiledKernels:
 
             return counted_lower, counted_upper
 
-        monkeypatch.setattr(properties._Batch, "__init__", recorded)
+        monkeypatch.setattr(properties, "_words", recorded)
         monkeypatch.setattr(properties, "sliced_operators", counted)
         row_6 = {"lX"}
         # row 6 holds on reflexive relations: one batch a size, all read l(X)
@@ -690,8 +695,8 @@ class TestSharedConstants:
         for frame in frames:
             assert vars(frame).keys() == held
             assert isinstance(frame.sets, tuple) and len(frame.sets) == frame.n
-        batch = properties._Batch(frames[0], [[0]], Pairing.DUAL_SUCC, ())
-        assert batch.values["X"] is frames[0].sets
+        values = properties._words(frames[0], [[0]], Pairing.DUAL_SUCC, ())
+        assert values["X"] is frames[0].sets
         assert isinstance(relations.index_variables(3, 8), tuple)
         cube = class_cube(3, RelationClass.Rt)
         assert isinstance(cube._positions[1], tuple)
@@ -733,12 +738,12 @@ class TestSlicedMorphismCheck:
         expected = scan_class_failures(Pairing.DUAL_SUCC, RelationClass.Rs, 3, one_set)
         checked = []
 
-        def failing(batch):
+        def failing(frame, values):
             # member 1 of every batch fails at X = 0: its block starts at 2^n
-            checked.append(batch)
-            return 1 << batch.frame.width
+            checked.append(frame)
+            return 1 << frame.width
 
-        monkeypatch.setattr(properties._Batch, "morphism_failures", failing)
+        monkeypatch.setattr(properties, "_morphism_failures", failing)
         with pytest.raises(RskError, match="^internal inconsistency: relation 1 "):
             scan_class_failures(Pairing.DUAL_SUCC, RelationClass.Rs, 2, [6, 10])
         assert len(checked) == 1  # raised at the first batch
@@ -780,8 +785,8 @@ class TestSlicedMorphismCheck:
         frame = properties._Frame(n, len(encodings))
         bits = properties._member_bits(frame, encodings)
         needed = properties._needed(frozenset({10}))
-        batch = properties._Batch(frame, bits, Pairing.DUAL_SUCC, needed)
-        assert batch.morphism_failures() == 0
+        values = properties._words(frame, bits, Pairing.DUAL_SUCC, needed)
+        assert properties._morphism_failures(frame, values) == 0
         # u(∅) becomes {0}, then l(V) becomes {1}: every step u(X minus a) ∪
         # u({a}) and l(-(X minus a)) ∩ l(-{a}) still holds, so only the check
         # at ∅ and at V tells these tables from a relation's
@@ -790,10 +795,10 @@ class TestSlicedMorphismCheck:
             assert not properties._morphisms(*tables, full)
             with pytest.raises(RskError, match="^internal inconsistency: "):
                 relation_failures([property_row(10)], *tables, full)
-            values = batch.values[word + "X"]
-            values[0] ^= 1 << (k << n) + x
-            assert batch.morphism_failures() == 1 << (k << n) + x
-            values[0] ^= 1 << (k << n) + x
+            sliced = values[word + "X"]
+            sliced[0] ^= 1 << (k << n) + x
+            assert properties._morphism_failures(frame, values) == 1 << (k << n) + x
+            sliced[0] ^= 1 << (k << n) + x
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -805,20 +810,18 @@ class TestSlicedMorphismCheck:
     def test_equals_the_table_check_on_flipped_operators(
         self, source, n, data, pairing
     ):
-        batch, mask, members, encoding_of = sliced_class(source, n, pairing)
+        frame, values, mask, members, encoding_of = sliced_class(source, n, pairing)
         k = data.draw(st.sampled_from(members))
         word = data.draw(st.sampled_from(["l", "u"]))
         w, x = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, (1 << n) - 1))
         # one membership flipped in the sliced operator and in member k's table
-        batch = copy.copy(batch)
         key = word + "X"
-        batch.values = dict(batch.values)
-        batch.values[key] = list(batch.values[key])
-        batch.values[key][w] ^= 1 << (k << n) + x
+        values = {**values, key: list(values[key])}
+        values[key][w] ^= 1 << (k << n) + x
         rows = rows_from_encoding(n, encoding_of(k))
         lo, up = (list(table) for table in approx_tables(n, rows, pairing))
         (lo if word == "l" else up)[x] ^= 1 << w
-        fails = batch.morphism_failures() & mask
+        fails = properties._morphism_failures(frame, values) & mask
         block = fails >> (k << n) & (1 << (1 << n)) - 1
         # only member k's block can fail, and it fails exactly when the table does
         assert fails == block << (k << n)
@@ -827,12 +830,12 @@ class TestSlicedMorphismCheck:
 
 @functools.cache
 def sliced_class(source, n, pairing):
-    """``(batch, mask, members, encoding_of)``: u(X) and l(X) over one batch
-    of size n, from either batch source of the column scan. ``"members"``
-    packs every relation with ``_member_bits``; ``"cube"`` slices the cube
-    of the serial relations with ``_cube_batches``, whose member mask leaves
-    out the relations that are not serial. ``members`` are the member
-    indices k of the batch."""
+    """``(frame, values, mask, members, encoding_of)``: u(X) and l(X), in
+    ``values``, over one batch of size n, from either batch source of the
+    column scan. ``"members"`` packs every relation with ``_member_bits``;
+    ``"cube"`` slices the cube of the serial relations with
+    ``_cube_batches``, whose member mask leaves out the relations that are
+    not serial. ``members`` are the member indices k of the batch."""
     if source == "members":
         encodings = [encoding for encoding, _ in class_rows(n, RelationClass.R)]
         frame = properties._Frame(n, len(encodings))
@@ -842,10 +845,10 @@ def sliced_class(source, n, pairing):
         cube = class_cube(n, RelationClass.Rser)
         [(frame, bits, mask, encoding_of)] = properties._cube_batches(n, cube)
     needed = properties._needed(frozenset({8}))
-    batch = properties._Batch(frame, bits, pairing, needed)
+    values = properties._words(frame, bits, pairing, needed)
     digits = format(mask, "b")[::-1]
     members = [i >> n for i in range(0, len(digits), frame.width) if digits[i] == "1"]
-    return batch, mask, members, encoding_of
+    return frame, values, mask, members, encoding_of
 
 
 @pytest.fixture
