@@ -310,8 +310,8 @@ _BY_SUBSCRIPT = {m.value[1:] or "any": m for m in RelationClass}
 
 
 # Class tag -> the base predicates the class conjoins, cheapest first. Keyed
-# by the tag string; ``violation`` and ``class_cube`` look it up once per call,
-# so no per-encoding path depends on the key type.
+# by the tag string; ``violation`` looks it up once per call and ``ClassCube``
+# once per cube, so no per-encoding path depends on the key type.
 _CONJUNCTS: dict[str, tuple[Callable[[int, Sequence[int]], Violation | None], ...]] = {
     "R": (),
     "Rr": (_reflexive,),
@@ -457,19 +457,6 @@ def rows_from_encoding(n: int, encoding: int) -> tuple[int, ...]:
     return tuple([encoding >> n * x & full for x in range(n)])
 
 
-def class_rows(
-    n: int, relation_class: RelationClass
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """``(encoding, rows)`` of every n-element relation of the class, ascending.
-
-    The one enumeration of a class: ``enumerate_relations`` reads it. It
-    reads the members off the class's cube (``ClassCube.members``), as the
-    column scan does. No capacity check; callers bound ``n``.
-    """
-    for encoding in class_cube(n, relation_class).members():
-        yield encoding, rows_from_encoding(n, encoding)
-
-
 # Free bits assigned per level of a cube's descent, so that a level's masks
 # are ints of 2^12 bits, one per assignment of its free bits. Of 10 to 14
 # bits, 12 generated the preorders of size 6 fastest.
@@ -551,34 +538,50 @@ def _violations(terms: Sequence[_Term], values: Sequence[int], ones: int) -> int
     return fails
 
 
-@dataclass(frozen=True)
 class ClassCube:
     """The n-element relations of a class among the assignments of its free bits.
 
     ``layout[x][y]`` is the free bit that relation bit (x, y) reads, or -1
-    where the class fixes it to 1. Cube index k assigns free bit i the
-    value of bit i of k. The members are the whole cube, or its serial
-    relations when ``serial`` is set, or its transitive relations when
-    ``transitive`` is set.
+    where the class fixes it to 1: reflexive classes fix the diagonal, and
+    symmetric classes tie bit (y, x) to bit (x, y). Cube index k assigns
+    free bit i the value of bit i of k. The free bits are numbered in
+    ascending order of the encoding position they set: the pair {x, y}
+    with x > y, a single free bit in a symmetric class, is placed at its
+    more significant position n·x + y. So cube order is encoding order:
+    the highest encoding bit where two cube members differ is the highest
+    position of the highest free bit where their indices differ.
+
+    Transitivity ties bits by implication, not equality, so a class that
+    conjoins it is the cube of its other predicates with ``transitive``
+    set. The members are the whole cube, or its serial relations when
+    ``serial`` is set, or its transitive relations (no transitivity term
+    violated) when ``transitive`` is set. ``members`` is the one
+    enumeration of a class. ``class_cube`` builds each (size, class) cube
+    once, and with it the tables its cached methods derive.
     """
 
-    layout: tuple[tuple[int, ...], ...]
-    free: int
-    serial: bool
-    transitive: bool
-
-    @cached_property
-    def _positions(self) -> tuple[int, tuple[int, ...]]:
-        """The encoding bits the class fixes to 1, and those of each free bit."""
-        n = len(self.layout)
-        fixed, positions = 0, [0] * self.free
-        for x, row in enumerate(self.layout):
-            for y, bit in enumerate(row):
-                if bit < 0:
-                    fixed |= 1 << n * x + y
-                else:
-                    positions[bit] |= 1 << n * x + y
-        return fixed, tuple(positions)
+    def __init__(self, n: int, relation_class: RelationClass) -> None:
+        conjuncts = _CONJUNCTS[relation_class.value]
+        symmetric = _symmetric in conjuncts
+        layout = [[-1] * n for _ in range(n)]
+        # the encoding bits fixed to 1, and those each free bit sets
+        fixed, positions = 0, []
+        for x in range(n):
+            for y in range(x + 1 if symmetric else n):
+                bit = 1 << n * x + y
+                if x == y and _reflexive in conjuncts:
+                    fixed |= bit
+                    continue
+                layout[x][y] = len(positions)
+                if symmetric:
+                    layout[y][x] = len(positions)
+                    bit |= 1 << n * y + x
+                positions.append(bit)
+        self.layout = tuple(map(tuple, layout))
+        self.free = len(positions)
+        self.serial = _serial in conjuncts
+        self.transitive = _transitive in conjuncts
+        self._positions = fixed, tuple(positions)
 
     def encoding(self, index: int) -> int:
         """The encoding of the relation at cube index ``index``."""
@@ -682,36 +685,8 @@ class ClassCube:
             yield from [base | table[k] for k in _set_bits(mask)]
 
 
-@cache  # one cube, and the tables it derives, per size and class
-def class_cube(n: int, relation_class: RelationClass) -> ClassCube:
-    """The class as the members of a cube over free encoding bits.
-
-    Reflexive classes fix the diagonal to 1, and symmetric classes tie bit
-    (y, x) to bit (x, y). The free bits are numbered in ascending order of
-    the encoding position they set: the pair {x, y} with x > y, a single
-    free bit in a symmetric class, is placed at its more significant
-    position n·x + y. So cube order is encoding order: the highest
-    encoding bit where two cube members differ is the highest position of
-    the highest free bit where their indices differ. Transitivity ties
-    bits by implication, not equality, so a class that conjoins it is the
-    cube of its other predicates with ``transitive`` set, and its members
-    are the assignments that violate no transitivity term.
-    """
-    conjuncts = _CONJUNCTS[relation_class.value]
-    symmetric = _symmetric in conjuncts
-    layout = [[-1] * n for _ in range(n)]
-    free = 0
-    for x in range(n):
-        for y in range(x + 1 if symmetric else n):
-            if x == y and _reflexive in conjuncts:
-                continue
-            layout[x][y] = free
-            if symmetric:
-                layout[y][x] = free
-            free += 1
-    return ClassCube(
-        tuple(map(tuple, layout)), free, _serial in conjuncts, _transitive in conjuncts
-    )
+# The one cube of each (size, class), and with it the tables it derives.
+class_cube = cache(ClassCube)
 
 
 def enumerate_relations(
@@ -725,5 +700,5 @@ def enumerate_relations(
     """
     check_capacity(n)
     universe = Universe(n)
-    for _, rows in class_rows(n, relation_class):
-        yield BinaryRelation(universe, rows)
+    for encoding in class_cube(n, relation_class).members():
+        yield BinaryRelation(universe, rows_from_encoding(n, encoding))

@@ -31,19 +31,75 @@ CLASS_FLAGS = {
 }
 
 
+# First-order frame conditions, by quantifier loops over the pairs.
+def _every(n, pairs):
+    return True
+
+
+def _serial(n, pairs):
+    return {x for x, _ in pairs} == set(range(n))
+
+
+def _converse_serial(n, pairs):
+    return {y for _, y in pairs} == set(range(n))
+
+
+def _reflexive(n, pairs):
+    return all((x, x) in pairs for x in range(n))
+
+
+def _symmetric(n, pairs):
+    return all((y, x) in pairs for x, y in pairs)
+
+
+def _transitive(n, pairs):
+    return all(
+        (x, z) in pairs for x, y in pairs for z in range(n) if (y, z) in pairs
+    )
+
+
+def _dense(n, pairs):
+    return all(
+        any((x, z) in pairs and (z, y) in pairs for z in range(n)) for x, y in pairs
+    )
+
+
+def _euclidean(n, pairs):
+    return all(
+        (y, z) in pairs for x, y in pairs for z in range(n) if (x, z) in pairs
+    )
+
+
+def _inner_successor(n, pairs):
+    image = [set() for _ in range(n)]
+    for x, y in pairs:
+        image[x].add(y)
+    return all(any(image[y] <= image[x] for y in image[x]) for x in range(n))
+
+
+# Condition name -> (n, pairs) -> whether the relation satisfies it:
+# "converse-serial" is every y with an x such that xRy, "dense" xRy ⇒
+# ∃z (xRz ∧ zRy), "euclidean" xRy ∧ xRz ⇒ yRz, and "inner-successor"
+# ∀x ∃y (xRy ∧ R(y) ⊆ R(x)).
+CONDITIONS = {
+    "every": _every,
+    "serial": _serial,
+    "converse-serial": _converse_serial,
+    "reflexive": _reflexive,
+    "symmetric": _symmetric,
+    "transitive": _transitive,
+    "dense": _dense,
+    "euclidean": _euclidean,
+    "inner-successor": _inner_successor,
+}
+
+
 def classify_pairs(n: int, pairs: set[tuple[int, int]]):
-    """(reflexive, symmetric, transitive, serial) by literal quantifier loops."""
-    reflexive = all((x, x) in pairs for x in range(n))
-    symmetric = all(
-        (y, x) in pairs for x in range(n) for y in range(n) if (x, y) in pairs
+    """(reflexive, symmetric, transitive, serial), the conditions above."""
+    return (
+        _reflexive(n, pairs), _symmetric(n, pairs), _transitive(n, pairs),
+        _serial(n, pairs),
     )
-    transitive = all(
-        (x, z) in pairs
-        for x, y, z in product(range(n), repeat=3)
-        if (x, y) in pairs and (y, z) in pairs
-    )
-    serial = all(any((x, y) in pairs for y in range(n)) for x in range(n))
-    return reflexive, symmetric, transitive, serial
 
 
 def least_violations(n: int, pairs: set[tuple[int, int]]):
@@ -223,6 +279,41 @@ ONE_SET_PREDICATES = {
     1: _p01, 2: _p02, 3: _p03, 4: _p04, 5: _p05, 6: _p06, 7: _p07,
     14: _p14, 15: _p15, 16: _p16, 17: _p17, 18: _p18, 19: _p19,
     20: _p20, 21: _p21, 22: _p22, 23: _p23,
+}
+
+
+# Row correspondents, as (rows, dual, nondual): each row holds on a relation
+# under a pairing exactly when the relation satisfies the pairing's
+# condition (modal correspondence: Sahlqvist 1975; van Benthem 1985).
+# Rows 8-13 are the two-set rows, which hold on every relation.
+_CORRESPONDENTS = (
+    ((3, 4, 8, 9, 10, 11, 12, 13), "every", "every"),
+    ((1,), "every", "symmetric"),
+    ((22, 23), "symmetric", "every"),
+    ((2,), "serial", "serial"),
+    ((5,), "serial", "converse-serial"),
+    ((6, 7), "reflexive", "reflexive"),
+    ((14, 19), "dense", "dense"),
+    ((15, 18), "transitive", "transitive"),
+    ((16, 21), "euclidean", "transitive"),
+    ((17, 20), "inner-successor", "reflexive"),
+)
+
+# Nondual's conditions on the transposed relation, where they are not
+# their own transposes.
+TRANSPOSED = {"serial": "converse-serial", "converse-serial": "serial"}
+
+# (row, pairing) -> its condition. Mirror is nondual on the transpose, so
+# its conditions are nondual's, transposed.
+ROW_CONDITIONS = {
+    (row, pairing): condition
+    for rows, dual, nondual in _CORRESPONDENTS
+    for row in rows
+    for pairing, condition in (
+        ("dual-succ", dual),
+        ("nondual", nondual),
+        ("mirror-nondual", TRANSPOSED.get(nondual, nondual)),
+    )
 }
 
 

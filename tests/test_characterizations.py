@@ -1,6 +1,7 @@
 """Characterization biconditionals and their constructive witnesses."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,8 +26,11 @@ from rsklab.characterizations import (
     characterization_pairing,
     characterization_rows,
 )
-from rsklab.properties import property_row
-from rsklab.relations import MAX_INPUT_SIZE
+from rsklab.operators import approx_tables
+from rsklab.properties import PROPERTY_ROWS, property_row, relation_failures
+from rsklab.relations import MAX_INPUT_SIZE, rows_from_encoding
+
+from oracles import CONDITIONS, ROW_CONDITIONS, TRANSPOSED, pairs_from_encoding
 
 U2 = Universe(2)
 U3 = Universe(3)
@@ -239,3 +243,111 @@ class TestWitnessGolden:
                         entry.append(list(proof_witness(c, relation).members()))
                     got.append(entry)
                 assert got == golden[f"{c.value} n={n}"], (c, n)
+
+
+ONE_SET_ROWS = [row for row in PROPERTY_ROWS if not row.two_set]
+
+# The 4-element relations on which each condition holds: 15^4 serial and
+# 15^4 converse-serial, 2^12 reflexive, 2^10 symmetric, 3,994 transitive
+# (OEIS A006905).
+CONDITION_COUNTS_AT_4 = {
+    "every": 65536,
+    "serial": 50625,
+    "converse-serial": 50625,
+    "reflexive": 4096,
+    "symmetric": 1024,
+    "transitive": 3994,
+    "dense": 34924,
+    "euclidean": 306,
+    "inner-successor": 11724,
+}
+
+
+def correspondent_mismatches(pairings, max_n):
+    """Each (n, encoding, pairing) where the one-set rows that fail through
+    ``approx_tables`` and ``relation_failures`` are not those whose
+    condition fails; and, at n = 4, how many relations each condition
+    holds on and, per pairing, each row fails on."""
+    conditions = {
+        pairing: [
+            (row.index, ROW_CONDITIONS[row.index, pairing.value])
+            for row in ONE_SET_ROWS
+        ]
+        for pairing in pairings
+    }
+    mismatches, holding = [], Counter()
+    failing = {pairing: Counter() for pairing in pairings}
+    for n in range(1, max_n + 1):
+        full = (1 << n) - 1
+        for encoding in range(1 << n * n):
+            pairs = pairs_from_encoding(n, encoding)
+            held = {name for name, holds in CONDITIONS.items() if holds(n, pairs)}
+            rows = rows_from_encoding(n, encoding)
+            for pairing in pairings:
+                lo, up = approx_tables(n, rows, pairing)
+                failures = relation_failures(ONE_SET_ROWS, lo, up, full)
+                expected = {i for i, name in conditions[pairing] if name not in held}
+                if failures.keys() != expected:
+                    mismatches.append((n, encoding, pairing))
+                if n == 4:
+                    failing[pairing].update(failures.keys())
+            if n == 4:
+                holding.update(held)
+    return mismatches, holding, failing
+
+
+class TestRowCorrespondents:
+    """Each one-set row holds on a relation, under a pairing, exactly when
+    the relation satisfies the row's first-order condition in
+    ``oracles.ROW_CONDITIONS``."""
+
+    def test_the_table_covers_every_row_and_pairing(self):
+        pairings = {"dual-succ", "nondual", "mirror-nondual"}
+        assert ROW_CONDITIONS.keys() == {
+            (index, pairing) for index in range(1, 24) for pairing in pairings
+        }
+        assert set(ROW_CONDITIONS.values()) == CONDITIONS.keys()
+
+    def test_the_characterizations_are_entries_of_the_table(self):
+        classes = {
+            Characterization.REFLEXIVE_LOWER: {"reflexive"},
+            Characterization.REFLEXIVE_UPPER: {"reflexive"},
+            Characterization.SYMMETRIC: {"symmetric"},
+            Characterization.TRANSITIVE_UPPER: {"transitive"},
+            Characterization.EQUIVALENCE: {"reflexive", "symmetric", "transitive"},
+            Characterization.EQUIVALENCE_ALT: {"reflexive", "symmetric", "transitive"},
+            Characterization.TRANSITIVE_NONDUAL: {"transitive"},
+            Characterization.PREORDER: {"reflexive", "transitive"},
+        }
+        for c, (pairing, rows) in DOCSTRING_TABLE.items():
+            assert {ROW_CONDITIONS[row, pairing.value] for row in rows} == classes[c]
+
+    def test_dual_and_nondual_on_every_relation_to_four(self):
+        pairings = [Pairing.DUAL_SUCC, Pairing.NONDUAL]
+        mismatches, holding, failing = correspondent_mismatches(pairings, 4)
+        assert mismatches == []
+        assert holding == CONDITION_COUNTS_AT_4
+        for row in ONE_SET_ROWS:
+            for pairing in pairings:
+                held = CONDITION_COUNTS_AT_4[ROW_CONDITIONS[row.index, pairing.value]]
+                assert 65536 - failing[pairing][row.index] == held, (row, pairing)
+
+    def test_mirror_to_three_reads_the_transposed_conditions(self):
+        mismatches, _, _ = correspondent_mismatches([Pairing.MIRROR_NONDUAL], 3)
+        assert mismatches == []
+        # rows 2 and 5 swap serial and converse-serial against nondual
+        for index in range(1, 24):
+            swapped = ROW_CONDITIONS[index, "mirror-nondual"] != ROW_CONDITIONS[
+                index, "nondual"
+            ]
+            assert swapped == (index in (2, 5))
+        # each nondual condition on the transpose is its transposed condition
+        nondual = {name for (_, p), name in ROW_CONDITIONS.items() if p == "nondual"}
+        for n in range(1, 4):
+            for encoding in range(1 << n * n):
+                pairs = pairs_from_encoding(n, encoding)
+                transpose = {(y, x) for x, y in pairs}
+                for name in nondual:
+                    holds = CONDITIONS[name]
+                    transposed = CONDITIONS[TRANSPOSED.get(name, name)]
+                    assert holds(n, transpose) == transposed(n, pairs), (name, pairs)

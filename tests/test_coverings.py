@@ -32,7 +32,7 @@ from rsklab import coverings
 from rsklab.cli import main
 from rsklab.coverings import definable_masks
 from rsklab.properties import PROPERTY_ROWS
-from rsklab.relations import class_rows
+from rsklab.relations import class_cube, rows_from_encoding
 from rsklab.tables import REFERENCE_NONDUAL, TABLE_CLASSES
 
 GOLDEN_COVERING = Path(__file__).parent / "golden" / "cli" / "covering.json"
@@ -313,14 +313,18 @@ class TestNeighbourhoodSystems:
     @pytest.mark.parametrize("n, count", [(1, 1), (2, 4), (3, 29), (4, 355)])
     def test_coverings_induce_exactly_the_preorders(self, n, count):
         systems = {c.neighborhoods for c in enumerate_coverings(n)}
-        assert systems == {rows for _, rows in class_rows(n, RelationClass.Rrt)}
+        assert systems == {
+            rows_from_encoding(n, encoding)
+            for encoding in class_cube(n, RelationClass.Rrt).members()
+        }
         assert len(systems) == count
 
     # 1, 4, 29, 355 and 6,942 pre-orders
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_reduction_holds_on_every_preorder(self, n):
         universe = Universe(n)
-        for _, rows in class_rows(n, RelationClass.Rrt):
+        for encoding in class_cube(n, RelationClass.Rrt).members():
+            rows = rows_from_encoding(n, encoding)
             successor_sets = Covering.from_masks(universe, rows)
             assert successor_sets.neighborhoods == rows
             assert verify_reduction(successor_sets)

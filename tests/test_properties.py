@@ -36,7 +36,7 @@ from rsklab.properties import (
     relation_failures,
     scan_class_failures,
 )
-from rsklab.relations import class_cube, class_rows, rows_from_encoding
+from rsklab.relations import class_cube, rows_from_encoding
 
 from oracles import (
     ONE_SET_PREDICATES,
@@ -271,7 +271,8 @@ class TestWordsAgainstPredicates:
         members = RelationClass.Rrst if pairing is Pairing.PAWLAK else RelationClass.R
         for n in range(4):
             full = (1 << n) - 1
-            for _, rows in class_rows(n, members):
+            for encoding in class_cube(n, members).members():
+                rows = rows_from_encoding(n, encoding)
                 lo, up = approx_tables(n, rows, pairing)
                 for index, predicate in ONE_SET_PREDICATES.items():
                     evaluate = property_row(index).evaluate
@@ -331,9 +332,9 @@ class TestCompiledKernels:
         everything = properties._needed(frozenset(range(1, 24)))
         for n in range(1, 4):
             full = (1 << n) - 1
-            listed = list(class_rows(n, members))
-            frame = properties._Frame(n, len(listed))
-            bits = properties._member_bits(frame, [encoding for encoding, _ in listed])
+            encodings = list(class_cube(n, members).members())
+            frame = properties._Frame(n, len(encodings))
+            bits = properties._member_bits(frame, encodings)
             values = properties._words(frame, bits, pairing, everything)
             words = {word for word, _, _ in everything}
             assert values.keys() == {"X", "∅", "V"} | words
@@ -343,8 +344,8 @@ class TestCompiledKernels:
                 index: properties._fail_mask(n, index)(values, frame.ones)
                 for index in one_set
             }
-            for k, (_, rows) in enumerate(listed):
-                lo, up = approx_tables(n, rows, pairing)
+            for k, encoding in enumerate(encodings):
+                lo, up = approx_tables(n, rows_from_encoding(n, encoding), pairing)
                 for x in range(full + 1):
                     position = (k << n) + x
                     for word, sliced in values.items():
@@ -365,8 +366,8 @@ class TestCompiledKernels:
         for n in (5, 6):
             full = (1 << n) - 1
             if pairing is Pairing.PAWLAK:  # defined on equivalences only
-                members = itertools.islice(class_rows(n, RelationClass.Rrst), 16)
-                encodings = [encoding for encoding, _ in members]
+                members = class_cube(n, RelationClass.Rrst).members()
+                encodings = list(itertools.islice(members, 16))
             else:
                 rng = random.Random(n)
                 encodings = [rng.getrandbits(n * n) for _ in range(16)]
@@ -500,7 +501,7 @@ class TestCubeBatches:
         self, monkeypatch, n, relation_class, batch_bits
     ):
         monkeypatch.setattr(properties, "_BATCH_BITS", batch_bits)
-        expected = [encoding for encoding, _ in class_rows(n, relation_class)]
+        expected = list(class_cube(n, relation_class).members())
         assert scanned_encodings(n, relation_class) == expected
 
     @pytest.mark.parametrize("relation_class", list(RelationClass))
@@ -515,7 +516,7 @@ class TestCubeBatches:
         monkeypatch.setattr(properties, "_BATCH_BITS", 24)
         for n in range(5):
             expected = class_encodings(n, relation_class.value)
-            generated = [encoding for encoding, _ in class_rows(n, relation_class)]
+            generated = list(class_cube(n, relation_class).members())
             assert generated == expected
             if 0 < n < 4 or relation_class in TRANSITIVE:
                 assert scanned_encodings(n, relation_class) == expected
@@ -581,7 +582,7 @@ class TestCubeBatches:
         ],
     )
     def test_the_scan_batches_hold_every_member_at_five(self, relation_class, size):
-        # R and Rser are too large to count through class_rows in tier-1; a
+        # R and Rser are too large to count through members() in tier-1; a
         # member is one set bit of its block in the batch's mask
         counted = sum(
             (mask & frame.starts).bit_count()
@@ -591,9 +592,7 @@ class TestCubeBatches:
         )
         assert counted == size
 
-    def test_only_transitive_classes_are_packed_and_class_rows_is_not_read(
-        self, monkeypatch
-    ):
+    def test_only_transitive_classes_are_packed(self, monkeypatch):
         packed = []
         members = relations.ClassCube.members
 
@@ -601,12 +600,7 @@ class TestCubeBatches:
             packed.append(cube.transitive)
             return members(cube)
 
-        def forbidden(n, relation_class):
-            raise AssertionError("the column scan read class_rows")
-
         monkeypatch.setattr(relations.ClassCube, "members", recorded)
-        monkeypatch.setattr(relations, "class_rows", forbidden)
-        assert not hasattr(properties, "class_rows")
         for cls in RelationClass:
             packed.clear()
             scan_class_failures(Pairing.NONDUAL, cls, 3, range(1, 24))
@@ -614,9 +608,22 @@ class TestCubeBatches:
             assert bool(packed) == (cls in TRANSITIVE)
 
     def test_every_class_has_a_cube(self):
-        for n in range(5):
+        # built once per size and class, with the positions of its layout
+        for n in range(6):
             for cls in RelationClass:
-                assert class_cube(n, cls).transitive == (cls in TRANSITIVE)
+                cube = class_cube(n, cls)
+                assert class_cube(n, cls) is cube
+                assert cube.transitive == (cls in TRANSITIVE)
+                # a relation bit the class fixes sets its encoding position,
+                # and a free bit every position that reads it
+                fixed, positions = 0, [0] * cube.free
+                for x, row in enumerate(cube.layout):
+                    for y, bit in enumerate(row):
+                        if bit < 0:
+                            fixed |= 1 << n * x + y
+                        else:
+                            positions[bit] |= 1 << n * x + y
+                assert cube._positions == (fixed, tuple(positions)), (n, cls)
 
 
 def clear_shared_constants():
@@ -661,7 +668,7 @@ class TestSharedConstants:
                     found = scan_class_failures(pairing, cls, 3, range(1, 24))
                     assert found == failures, (small, pairing, cls)
                 for (n, cls), encodings in members.items():
-                    generated = [encoding for encoding, _ in class_rows(n, cls)]
+                    generated = list(class_cube(n, cls).members())
                     assert generated == encodings, (small, n, cls)
 
     def test_a_frame_is_built_once_per_size_and_batch_length(self, monkeypatch):
@@ -781,7 +788,7 @@ class TestSlicedMorphismCheck:
         n, k, full = 2, 15, 0b11
         lo, up = approx_tables(n, (full, full), Pairing.DUAL_SUCC)
         assert (lo, up) == ([0, 0, 0, full], [0, full, full, full])
-        encodings = [encoding for encoding, _ in class_rows(n, RelationClass.R)]
+        encodings = list(class_cube(n, RelationClass.R).members())
         frame = properties._Frame(n, len(encodings))
         bits = properties._member_bits(frame, encodings)
         needed = properties._needed(frozenset({10}))
@@ -837,7 +844,7 @@ def sliced_class(source, n, pairing):
     ``_cube_batches``, whose member mask leaves out the relations that are
     not serial. ``members`` are the member indices k of the batch."""
     if source == "members":
-        encodings = [encoding for encoding, _ in class_rows(n, RelationClass.R)]
+        encodings = list(class_cube(n, RelationClass.R).members())
         frame = properties._Frame(n, len(encodings))
         bits = properties._member_bits(frame, encodings)
         mask, encoding_of = frame.ones, encodings.__getitem__

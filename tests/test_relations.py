@@ -24,7 +24,7 @@ from rsklab import (
     transitive_closure,
     verify_reduction,
 )
-from rsklab.relations import class_rows, rows_from_encoding
+from rsklab.relations import class_cube, rows_from_encoding
 
 from oracles import (
     CLASS_FLAGS,
@@ -96,7 +96,11 @@ class TestBuildRelation:
         assert rel(2, [(0, 1), (0, 1)]).pairs() == ((0, 1),)
 
     def test_chain_witness(self):
-        assert rel(3, [(0, 1), (1, 2)]).pairs() == ((0, 1), (1, 2))
+        chain = rel(3, [(0, 1), (1, 2)])
+        assert chain.pairs() == ((0, 1), (1, 2))
+        assert repr(chain) == "BinaryRelation(n=3, {(0,1), (1,2)})"
+        labelled = build_relation(Universe(2, ("a", "b")), [(1, 0)])
+        assert repr(labelled) == "BinaryRelation(n=2, {(b,a)})"
 
     def test_out_of_range_pair_is_named(self):
         with pytest.raises(InputError, match=r"\(0, 5\)"):
@@ -106,6 +110,7 @@ class TestBuildRelation:
     def test_encoding_round_trip(self, n, data):
         encoding = data.draw(st.integers(0, (1 << (n * n)) - 1))
         r = BinaryRelation.from_encoding(Universe(n), encoding)
+        assert len(r.universe) == n
         assert r.encoding == encoding
         assert build_relation(Universe(n), r.pairs()) == r
 
@@ -115,6 +120,10 @@ class TestBuildRelation:
     @pytest.mark.parametrize(
         "build, message",
         [
+            (
+                lambda: Universe(-1),
+                "universe size must be nonnegative, got -1",
+            ),
             (
                 lambda: Subset(Universe(3), 8),
                 "bitmask 0x8 does not fit a universe of size 3",
@@ -145,8 +154,8 @@ class TestBuildRelation:
             ),
         ],
         ids=[
-            "subset-over", "subset-negative", "row-count", "row-over", "row-negative",
-            "encoding-over", "encoding-negative",
+            "universe-negative", "subset-over", "subset-negative", "row-count",
+            "row-over", "row-negative", "encoding-over", "encoding-negative",
         ],
     )
     def test_out_of_range_construction_is_rejected(self, build, message):
@@ -303,11 +312,12 @@ class TestEnumeration:
             ), relation_class
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
-    def test_class_rows_are_the_oracle_members_in_order(self, n):
+    def test_class_members_are_the_oracle_members_in_order(self, n):
         for relation_class in RelationClass:
-            got = list(class_rows(n, relation_class))
-            assert [e for e, _ in got] == class_encodings(n, relation_class.value)
-            for encoding, rows in got:
+            got = list(class_cube(n, relation_class).members())
+            assert got == class_encodings(n, relation_class.value)
+            for encoding in got:
+                rows = rows_from_encoding(n, encoding)
                 assert {
                     (x, y) for x in range(n) for y in range(n) if rows[x] >> y & 1
                 } == pairs_from_encoding(n, encoding)
@@ -326,15 +336,14 @@ class TestEnumeration:
             (RelationClass.Rt, 154303),
         ],
     )
-    def test_class_rows_at_five_are_exactly_the_class(self, relation_class, size):
+    def test_class_members_at_five_are_exactly_the_class(self, relation_class, size):
         # strictly ascending, all members, as many as the class has: together
         # these make the stream exactly the class, in order
         previous = -1
         count = 0
-        for encoding, rows in class_rows(5, relation_class):
+        for encoding in class_cube(5, relation_class).members():
             assert encoding > previous
-            assert rows == rows_from_encoding(5, encoding)
-            assert relation_class.admits(5, rows)
+            assert relation_class.admits(5, rows_from_encoding(5, encoding))
             previous = encoding
             count += 1
         assert count == size
@@ -350,7 +359,7 @@ class TestEnumeration:
         ],
     )
     def test_class_sizes_at_six(self, relation_class, size):
-        encodings = [encoding for encoding, _ in class_rows(6, relation_class)]
+        encodings = list(class_cube(6, relation_class).members())
         assert len(encodings) == size
         assert encodings == sorted(set(encodings))
 
