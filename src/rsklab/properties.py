@@ -49,16 +49,16 @@ ints that depend only on the size and the batch length are built once
 per process and shared, read-only, by every scan: the sets X, tiled from
 the index variables of the 2^n subsets (``relations.index_variables``),
 and the cube's levels and tables; a few frames of ints of up to 128 KB
-per size, 29 frames and about 3 MB after an n≤5 table. Every class is
+per size, 27 frames and about 2.7 MB after an n≤5 table. Every class is
 the members of a cube over its free encoding bits
 (``relations.class_cube``), with cube order equal to encoding order. A
-class without transitivity is sliced as its cube: a batch's low free
-bits are index variables, its top free bits constant 0 or all-ones
-ints, and a serial class's members a mask computed from them. A
-transitive class fills too little of its cube (0.5% for Rt at n=5) to be
-sliced whole, so its members are read off the cube's bit-sliced
-transitivity masks (``ClassCube.members``) and packed, their rows
-through bytes, into batches of members only. A set becomes n ints, and
+cube is sliced: a batch's low free bits are index variables, its top
+free bits constant 0 or all-ones ints, and a serial or transitive
+class's members a mask computed from them. From n = 3, where a member's
+2^n bits are whole bytes, a transitive class's members are read off its
+cube's bit-sliced transitivity masks (``ClassCube.members``) and packed,
+their rows through bytes, into batches of members only, as the class
+fills little of its cube (0.5% for Rt at n=5). A set becomes n ints, and
 each word is O(n²) big-int ANDs and ORs over every relation and every X
 of the batch, by the operators ``operators.sliced_operators`` compiles
 per pairing and size. ``_words`` evaluates, per batch, only the words
@@ -399,26 +399,21 @@ def _member_bits(frame: _Frame, encodings: Sequence[int]) -> list[list[int]]:
     """``bits[x][y]``: the positions whose member relates x to y.
 
     Row x of member k goes to bits ``k * 2^n .. k * 2^n + n - 1`` of one
-    int. From n = 3 a member's block is whole bytes, so the int is read
-    from bytes, row x of member k in the first bytes of its block; below,
-    where a transitive class has at most 13 members, it is a sum.
+    int, read from bytes: row x of member k in the first bytes of its
+    block, so a block must be whole bytes, n ≥ 3.
     """
-    n, width = frame.n, frame.width
+    n = frame.n
     full = (1 << n) - 1
-    stride = width // 8
+    stride = frame.width // 8
     bits = []
     for x in range(n):
         shift = n * x
-        if stride:
-            data = bytearray(len(encodings) * stride)
-            for b in range(0, n, 8):  # a row's bytes, low first
-                digit = full >> b & 255
-                column = [e >> shift + b & digit for e in encodings]
-                data[b // 8 :: stride] = bytes(column)
-            packed = int.from_bytes(data, "little")
-        else:
-            rows = (e >> shift & full for e in encodings)
-            packed = sum(row << k * width for k, row in enumerate(rows))
+        data = bytearray(len(encodings) * stride)
+        for b in range(0, n, 8):  # a row's bytes, low first
+            digit = full >> b & 255
+            column = [e >> shift + b & digit for e in encodings]
+            data[b // 8 :: stride] = bytes(column)
+        packed = int.from_bytes(data, "little")
         bits.append([frame.fill(packed >> y & frame.starts) for y in range(n)])
     return bits
 
@@ -438,8 +433,8 @@ def _member_batches(n: int, cube: ClassCube) -> _Batches:
 
 
 def _cube_batches(n: int, cube: ClassCube) -> _Batches:
-    """The cube of a class without transitivity, its low free bits varying
-    inside a batch, as ``ClassCube.batches`` slices it."""
+    """The cube of a class, its low free bits varying inside a batch, as
+    ``ClassCube.batches`` slices it."""
     low = min(cube.free, max(1, _BATCH_BITS >> n).bit_length() - 1)
     frame = _frame(n, 1 << low)
     for top, bits, mask in cube.batches(low, frame.width):
@@ -503,9 +498,9 @@ def scan_class_failures(
     lowest set bit of its sliced fail mask, so ``y`` is always None. Rows
     8-13 hold for every relation and are never settled; while one is asked
     for, every batch must pass the sliced morphism check, and a member
-    failing it raises ``RskError`` as an internal inconsistency. A class
-    without transitivity is sliced over its cube's free bits; a transitive
-    class is packed from its cube's members.
+    failing it raises ``RskError`` as an internal inconsistency. A
+    transitive class is packed from its cube's members from n = 3; every
+    other cube is sliced over its free bits.
     """
     pending = {row.index: row for row in map(property_row, indices)}
     found: dict[int, tuple[int, int, int, int | None]] = {}
@@ -520,11 +515,11 @@ def scan_class_failures(
             break
         full = (1 << n) - 1
         cube = class_cube(n, relation_class)
-        if cube.transitive:
-            batches = _member_batches(n, cube)
-        else:
-            batches = _cube_batches(n, cube)
-        for frame, bits, mask, encoding_of in batches:
+        # members are packed from n = 3, where a member's block of 2^n bits
+        # is whole bytes, as _member_bits reads it; below, a transitive cube
+        # has at most 16 relations, and its sliced batches apply its terms
+        batches = _member_batches if cube.transitive and n >= 3 else _cube_batches
+        for frame, bits, mask, encoding_of in batches(n, cube):
             if needed is None:
                 needed = _needed(frozenset(pending))
             values = _words(frame, bits, pairing, needed)

@@ -201,6 +201,26 @@ def class_encodings(n: int, tag: str) -> list[int]:
     return [e for e in range(1 << n * n) if in_class(tag, flags[e])]
 
 
+def packed_bits(n: int, encodings) -> list[list[int]]:
+    """The column scan's relation bits of a batch of ``encodings``, spelled
+    out as binary digits.
+
+    ``bits[x][y]`` has bit ``k * 2^n + X`` set, for every X, exactly when
+    relation k of the batch relates x to y: member k's whole block of 2^n
+    bits.
+    """
+    width = 1 << n
+    blocks = ("0" * width, "1" * width)
+    return [
+        [
+            # binary digits, the last member's block first
+            int("".join(blocks[e >> n * x + y & 1] for e in reversed(encodings)), 2)
+            for y in range(n)
+        ]
+        for x in range(n)
+    ]
+
+
 def _subset(a: int, b: int) -> bool:
     return not (a & ~b)
 

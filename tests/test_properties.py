@@ -41,6 +41,7 @@ from rsklab.relations import class_cube, rows_from_encoding
 from oracles import (
     ONE_SET_PREDICATES,
     class_encodings,
+    packed_bits,
     plain_failures,
     reference_scan,
 )
@@ -334,7 +335,7 @@ class TestCompiledKernels:
             full = (1 << n) - 1
             encodings = list(class_cube(n, members).members())
             frame = properties._Frame(n, len(encodings))
-            bits = properties._member_bits(frame, encodings)
+            bits = packed_bits(n, encodings)
             values = properties._words(frame, bits, pairing, everything)
             words = {word for word, _, _ in everything}
             assert values.keys() == {"X", "∅", "V"} | words
@@ -465,19 +466,16 @@ TRANSITIVE = [RelationClass.Rt, RelationClass.Rrt, RelationClass.Rst, RelationCl
 
 
 def scanned_encodings(n, relation_class):
-    """The members of every batch the column scan builds, in scan order."""
+    """The members of every batch the column scan builds, in scan order: a
+    transitive class's packed members from n = 3, every other cube sliced."""
     cube = class_cube(n, relation_class)
-    if cube.transitive:
-        return [
-            encoding_of(k)
-            for frame, _, _, encoding_of in properties._member_batches(n, cube)
-            for k in range(frame.count)
-        ]
+    packed = cube.transitive and n >= 3
+    source = properties._member_batches if packed else properties._cube_batches
     members = []
-    for frame, bits, mask, encoding_of in properties._cube_batches(n, cube):
-        # the sliced bits are the packed relations the batch stands for
+    for frame, bits, mask, encoding_of in source(n, cube):
+        # either source's bits are the plainly packed relations of its batch
         encodings = list(map(encoding_of, range(frame.count)))
-        assert bits == properties._member_bits(frame, encodings)
+        assert bits == packed_bits(n, encodings)
         # the mask fills whole blocks; read its first bits off its digits
         digits = format(mask, "b")[::-1]
         starts = range(0, len(digits), frame.width)
@@ -486,9 +484,9 @@ def scanned_encodings(n, relation_class):
 
 
 class TestCubeBatches:
-    """Every class as the members of a cube over its free encoding bits: the
-    classes without transitivity sliced batch by batch, the transitive ones
-    read off their masks and packed."""
+    """Every class as the members of a cube over its free encoding bits:
+    each cube sliced batch by batch, except a transitive class's from n = 3,
+    whose members are read off its masks and packed."""
 
     @pytest.mark.parametrize(
         "n, relation_class, batch_bits",
@@ -593,19 +591,30 @@ class TestCubeBatches:
         assert counted == size
 
     def test_only_transitive_classes_are_packed(self, monkeypatch):
-        packed = []
+        # from n = 3, where a member's block is whole bytes; rows 8-13 are
+        # never settled, so every scan reaches n = 4
+        sizes = []
         members = relations.ClassCube.members
 
         def recorded(cube):
-            packed.append(cube.transitive)
+            sizes.append(len(cube.layout))
             return members(cube)
 
         monkeypatch.setattr(relations.ClassCube, "members", recorded)
         for cls in RelationClass:
-            packed.clear()
-            scan_class_failures(Pairing.NONDUAL, cls, 3, range(1, 24))
-            assert packed == [cls in TRANSITIVE] * len(packed)
-            assert bool(packed) == (cls in TRANSITIVE)
+            sizes.clear()
+            scan_class_failures(Pairing.NONDUAL, cls, 4, range(1, 24))
+            assert sizes == ([3, 4] if cls in TRANSITIVE else []), cls
+
+    def test_member_bits_equal_the_plain_packer(self):
+        # rows of 9 to 12 bits span two bytes of a member's block
+        rng = random.Random(3)
+        for n in (3, 5, 8, 9, 10, 12):
+            seeded = [rng.getrandbits(n * n) for _ in range(6)]
+            encodings = [0, (1 << n * n) - 1, *seeded]
+            frame = properties._Frame(n, len(encodings))
+            bits = properties._member_bits(frame, encodings)
+            assert bits == packed_bits(n, encodings), n
 
     def test_every_class_has_a_cube(self):
         # built once per size and class, with the positions of its layout
@@ -790,7 +799,7 @@ class TestSlicedMorphismCheck:
         assert (lo, up) == ([0, 0, 0, full], [0, full, full, full])
         encodings = list(class_cube(n, RelationClass.R).members())
         frame = properties._Frame(n, len(encodings))
-        bits = properties._member_bits(frame, encodings)
+        bits = packed_bits(n, encodings)
         needed = properties._needed(frozenset({10}))
         values = properties._words(frame, bits, Pairing.DUAL_SUCC, needed)
         assert properties._morphism_failures(frame, values) == 0
@@ -839,14 +848,15 @@ class TestSlicedMorphismCheck:
 def sliced_class(source, n, pairing):
     """``(frame, values, mask, members, encoding_of)``: u(X) and l(X), in
     ``values``, over one batch of size n, from either batch source of the
-    column scan. ``"members"`` packs every relation with ``_member_bits``;
+    column scan. ``"members"`` packs every relation with ``packed_bits``,
+    the layout ``_member_batches`` builds;
     ``"cube"`` slices the cube of the serial relations with
     ``_cube_batches``, whose member mask leaves out the relations that are
     not serial. ``members`` are the member indices k of the batch."""
     if source == "members":
         encodings = list(class_cube(n, RelationClass.R).members())
         frame = properties._Frame(n, len(encodings))
-        bits = properties._member_bits(frame, encodings)
+        bits = packed_bits(n, encodings)
         mask, encoding_of = frame.ones, encodings.__getitem__
     else:
         cube = class_cube(n, RelationClass.Rser)
